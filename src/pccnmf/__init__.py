@@ -12,22 +12,20 @@ from .analysis import (AnticorrelationReport, EntropyReport, ErrorSequences, Spa
                        image_entropies, pearson, sparsity_comparison)
 from .clustering import (Cluster, ClusterMember, ClusterReport, export_cluster_montage,
                          natural_clusters)
-from .dataset import (DataMatrix, SCALE_RAW255, SCALE_UNIT, SwimmerSpec, apply_flip_noise,
-                      binarize, generate_swimmer, load_matrix, rescale, save_matrix,
-                      swimmer_parts)
+from .dataset import (DataMatrix, SCALE_RAW255, SCALE_UNIT, apply_flip_noise, binarize,
+                      generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
 from .denoising import (DenoiseRankEntry, DenoiseReport, accuracy, compare_with_svd,
                         denoise_margins, find_r_range)
-from .errors import (ConfigurationError, DegenerateInputError, Error, FormatError,
-                     ParameterError, UndefinedCorrelationError)
+from .errors import (DegenerateInputError, Error, FormatError, ParameterError,
+                     UndefinedCorrelationError)
 from .nmf import (Factorization, LOSS_FROBENIUS, LOSS_KL, SolverOptions, factorize,
                   frobenius_error, gauge_transform, kl_divergence, load_factorization,
                   save_factorization, truncated_svd)
 from .probability import (JointModel, PccModel, derive_pcc, export_pcc, marginal_residuals,
                           pcc_summary, to_joint)
 from .rank_scan import (BIC_VARIANTS, RankScanEntry, RankScanReport, bic_from_error,
-                        bic_scores, dual_predictability_fraction, estimate_rc,
-                        estimate_rc_dual, mean_internal_distance, predictability_fraction,
-                        rrssq)
+                        dual_predictability_fraction, estimate_rc, estimate_rc_dual,
+                        mean_internal_distance, predictability_fraction, rrssq)
 from .report import RunReport, SCHEMA_VERSION, matrix_digest, timestamp, __version__
 from .stability import (Matching, cosine_distance, cosine_distance_matrix,
                         distance_histogram, lexicographic_assignment, match_bases,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UndefinedCorrelationError
-from .probability import PccModel
+from .probability import PccModel, _entropies
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class ErrorSequences:
     eps: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    layout: str = "row-major"
 
 
 def error_sequences(pcc: PccModel) -> ErrorSequences:
@@ -84,13 +83,6 @@ def anticorrelation_report(pcc: PccModel) -> AnticorrelationReport:
     return AnticorrelationReport(r_w=r_w, r_v=r_v, length=len(seqs.eps))
 
 
-def _column_entropies(p: np.ndarray) -> np.ndarray:
-    terms = np.zeros_like(p)
-    positive = p > 0
-    terms[positive] = p[positive] * np.log(p[positive])
-    return -terms.sum(axis=0)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     s: np.ndarray        # per-image entropy of p(pixel|image)
@@ -104,8 +96,8 @@ def image_entropies(pcc: PccModel) -> EntropyReport:
     The mixture tends to increase every image's entropy; violations are
     counted and reported, not asserted.
     """
-    s = _column_entropies(pcc.cond_pixel_given_image)
-    s_hat = _column_entropies(pcc.approx_cond)
+    s = _entropies(pcc.cond_pixel_given_image)
+    s_hat = _entropies(pcc.approx_cond)
     violations = int(np.sum(s > s_hat + 1e-12))
     return EntropyReport(s=s, s_hat=s_hat, violations=violations)
 
@@ -137,8 +129,8 @@ def sparsity_comparison(pcc: PccModel) -> SparsityReport:
     lhs > rhs means basis columns are on average sparser (lower-entropy) than
     the images they explain; the Hoyer means should then order the other way.
     """
-    image_entropy = _column_entropies(pcc.cond_pixel_given_image)
-    basis_entropy = _column_entropies(pcc.cond_pixel_given_basis)
+    image_entropy = _entropies(pcc.cond_pixel_given_image)
+    basis_entropy = _entropies(pcc.cond_pixel_given_basis)
     lhs = float(pcc.marg_image @ image_entropy)
     rhs = float(pcc.basis_prior @ basis_entropy)
     hoyer_images = float(np.mean([hoyer_sparsity(col) for col in pcc.cond_pixel_given_image.T]))

@@ -20,22 +20,15 @@ from .report import RunReport, matrix_digest, timestamp
 
 
 def _default_seed() -> int:
+    value = os.environ.get("PCCNMF_SEED", "0")
     try:
-        return int(os.environ.get("PCCNMF_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ParameterError(f"PCCNMF_SEED must be an integer, got {value!r}") from None
 
 
 def _seed_list(count: int, base: int) -> list[int]:
     return [base + k for k in range(count)]
-
-
-def _write_csv(path, header, rows) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%r" % v if isinstance(v, int) else "%.17g" % v for v in row))
-            fh.write("\n")
 
 
 def _load(path) -> dataset.DataMatrix:
@@ -52,6 +45,16 @@ def _solver_options(args) -> nmf.SolverOptions:
 def _add_solver_flags(parser, max_iters=2000, tol=1e-6):
     parser.add_argument("--max-iters", type=int, default=max_iters)
     parser.add_argument("--tol", type=float, default=tol)
+
+
+def _positive_int(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _pixel_shape(arg: str | None):
@@ -112,10 +115,9 @@ def cmd_rank_scan(args) -> int:
                     input_digests={"matrix": matrix_digest(m)},
                     outputs=report.to_dict(), started=started, finished=timestamp())
     run.write_json(args.output)
-    _write_csv(Path(args.output).with_suffix(".csv"),
-               ["R", "seed", "valid_fraction", "dbar", "error", "rrssq",
-                "bic1", "bic2", "bic3"],
-               report.curve_rows())
+    dataset.write_rows(Path(args.output).with_suffix(".csv"), report.curve_rows(),
+                       ["R", "seed", "valid_fraction", "dbar", "error", "rrssq",
+                        "bic1", "bic2", "bic3"])
     return 0
 
 
@@ -126,9 +128,9 @@ def cmd_stability(args) -> int:
         m, rank=args.rank, mode=mode, xi=args.xi, seed_a=args.seed_a, seed_b=args.seed_b,
         opts=_solver_options(args))
     run.write_json(args.output)
-    _write_csv(Path(args.output).with_suffix(".csv"),
-               ["bin_lo", "bin_hi", "count", "pct"],
-               stability.distance_histogram(matching.distances))
+    dataset.write_rows(Path(args.output).with_suffix(".csv"),
+                       stability.distance_histogram(matching.distances),
+                       ["bin_lo", "bin_hi", "count", "pct"])
     return 0
 
 
@@ -187,23 +189,21 @@ def cmd_denoise(args) -> int:
     seeds = _seed_list(args.seeds, _default_seed())
     opts = _solver_options(args)
     started = timestamp()
-    report = denoising.find_r_range(clean, noisy, args.r_lo, args.r_hi,
-                                    exclusions=args.exclusions, seeds=seeds, opts=opts,
-                                    xi=args.xi, threads=args.threads)
-    payload = report.to_dict()
-    rows = [(e.rank, e.violations, e.min_margin) for e in report.entries]
-    header = ["R", "violations", "min_margin"]
     if args.baseline == "svd":
-        ac = denoising.compare_with_svd(clean, noisy, report.ranks, seeds=seeds, opts=opts,
-                                        exclusions=args.exclusions, xi=args.xi,
-                                        threads=args.threads)
-        curves = ac.ac_curves()
-        payload.update(curves)
+        report = denoising.compare_with_svd(clean, noisy, range(args.r_lo, args.r_hi + 1),
+                                            seeds=seeds, opts=opts, exclusions=args.exclusions,
+                                            xi=args.xi, threads=args.threads)
+        curves = report.ac_curves()
         header = ["R", "ac_nmf", "ac_svd", "ac_nmf_smoothed", "ac_svd_smoothed", "violations"]
-        rows = [(rank, curves["ac_nmf"][i], curves["ac_svd"][i],
-                 curves["ac_nmf_smoothed"][i], curves["ac_svd_smoothed"][i],
-                 report.entries[i].violations)
-                for i, rank in enumerate(report.ranks)]
+        rows = [(e.rank, curves["ac_nmf"][i], curves["ac_svd"][i],
+                 curves["ac_nmf_smoothed"][i], curves["ac_svd_smoothed"][i], e.violations)
+                for i, e in enumerate(report.entries)]
+    else:
+        report = denoising.find_r_range(clean, noisy, args.r_lo, args.r_hi,
+                                        exclusions=args.exclusions, seeds=seeds, opts=opts,
+                                        xi=args.xi, threads=args.threads)
+        header = ["R", "violations", "min_margin"]
+        rows = [(e.rank, e.violations, e.min_margin) for e in report.entries]
     run = RunReport(command="denoise",
                     parameters={"xi": args.xi, "r_lo": args.r_lo, "r_hi": args.r_hi,
                                 "exclusions": args.exclusions, "baseline": args.baseline,
@@ -211,9 +211,9 @@ def cmd_denoise(args) -> int:
                                 "tol": args.tol},
                     seeds=seeds,
                     input_digests={"matrix": matrix_digest(clean)},
-                    outputs=payload, started=started, finished=timestamp())
+                    outputs=report.to_dict(), started=started, finished=timestamp())
     run.write_json(args.output)
-    _write_csv(Path(args.output).with_suffix(".csv"), header, rows)
+    dataset.write_rows(Path(args.output).with_suffix(".csv"), rows, header)
     return 0
 
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pccnmf",
         description="Nonnegative matrix factorization with common-cause diagnostics.")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="parallel scan workers (default 1, fully reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 from .pgm import read_pgm
 
 SCALE_RAW255 = "raw255"
@@ -72,18 +72,7 @@ class DataMatrix:
         return DataMatrix(values, self.pixel_shape, self.scale if scale is None else scale)
 
 
-@dataclass(frozen=True)
-class SwimmerSpec:
-    """Geometry knobs for the generated Swimmer dataset.
-
-    Only the default geometry (13x13 images, 4 limbs with 4 positions each)
-    is supported; anything else raises a configuration error.
-    """
-
-    image_side: int = 13
-    limb_positions: int = 4
-    limb_count: int = 4
-
+_SIDE = 13   # Swimmer images are 13x13
 
 # Backbone: a 4x4 block in the middle of the grid, present in every image.
 _BACKBONE_ROWS = range(5, 9)
@@ -104,31 +93,26 @@ def _pinwheel_segments(top: int, left: int):
     )
 
 
-def _mask(side: int, pixels) -> np.ndarray:
-    flat = np.zeros(side * side, dtype=np.float64)
+def _mask(pixels) -> np.ndarray:
+    flat = np.zeros(_SIDE * _SIDE, dtype=np.float64)
     for row, col in pixels:
-        flat[row * side + col] = 1.0
+        flat[row * _SIDE + col] = 1.0
     return flat
 
 
-def swimmer_parts(spec: SwimmerSpec = SwimmerSpec()) -> tuple[np.ndarray, np.ndarray]:
+def swimmer_parts() -> tuple[np.ndarray, np.ndarray]:
     """The exact 17-part factorization of the Swimmer matrix.
 
     Returns (basis, weights): basis is 169x17 (column 0 the backbone, then the
     16 limb positions), weights is the 17x256 0/1 membership matrix, and
     basis @ weights reproduces :func:`generate_swimmer` exactly.
     """
-    if (spec.image_side, spec.limb_positions, spec.limb_count) != (13, 4, 4):
-        raise ConfigurationError(
-            f"unsupported Swimmer geometry {spec}; only the 13x13, 4x4-limb default is implemented")
-    side = spec.image_side
-    backbone = _mask(side, [(r, c) for r in _BACKBONE_ROWS for c in _BACKBONE_COLS])
-    limb_masks = [[_mask(side, seg) for seg in _pinwheel_segments(top, left)]
+    backbone = _mask([(r, c) for r in _BACKBONE_ROWS for c in _BACKBONE_COLS])
+    limb_masks = [[_mask(seg) for seg in _pinwheel_segments(top, left)]
                   for top, left in _LIMB_BOXES]
 
     basis = np.column_stack([backbone] + [m for limb in limb_masks for m in limb])
-    n_images = spec.limb_positions ** spec.limb_count
-    weights = np.zeros((1 + 16, n_images))
+    weights = np.zeros((1 + 16, 4 ** 4))
     weights[0, :] = 1.0
     for image, positions in enumerate(itertools.product(range(4), repeat=4)):
         for limb, pos in enumerate(positions):
@@ -136,16 +120,16 @@ def swimmer_parts(spec: SwimmerSpec = SwimmerSpec()) -> tuple[np.ndarray, np.nda
     return basis, weights
 
 
-def generate_swimmer(spec: SwimmerSpec = SwimmerSpec()) -> DataMatrix:
+def generate_swimmer() -> DataMatrix:
     """Deterministically generate the 169x256 binary Swimmer matrix.
 
     Image columns are ordered by the limb-position tuple (last limb varies
     fastest). All parts are pixel-disjoint, so the product of the 17-part
     factorization is exactly binary.
     """
-    basis, weights = swimmer_parts(spec)
+    basis, weights = swimmer_parts()
     values = basis @ weights
-    return DataMatrix(values, pixel_shape=(spec.image_side, spec.image_side), scale=SCALE_UNIT)
+    return DataMatrix(values, pixel_shape=(_SIDE, _SIDE), scale=SCALE_UNIT)
 
 
 def load_matrix(path, format: str = "csv") -> DataMatrix:
@@ -210,13 +194,23 @@ def _load_pgm_dir(path: Path) -> DataMatrix:
     return DataMatrix(values, pixel_shape=shape, scale=scale)
 
 
+def write_rows(path, rows, header=None) -> None:
+    """Write rows as comma-separated text, after an optional header line.
+
+    Python ints are written with ``%r``, every other value with ``%.17g``, so
+    floats round-trip exactly.
+    """
+    with Path(path).open("w") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%r" % v if isinstance(v, int) else "%.17g" % v for v in row))
+            fh.write("\n")
+
+
 def save_matrix(m: DataMatrix, path, source: str = "", seed=None, xi=None) -> None:
     """Write a matrix as headerless CSV plus a ``<path>.json`` metadata sidecar."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in m.values:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    write_rows(path, m.values)
     sidecar = {
         "rows": m.n_pixels,
         "cols": m.n_images,

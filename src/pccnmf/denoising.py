@@ -77,6 +77,10 @@ class DenoiseRankEntry:
     ac_svd: float | None = None
 
 
+# Width of the centered moving average applied to the AC curves.
+_AC_WINDOW = 5
+
+
 @dataclass(frozen=True)
 class DenoiseReport:
     """Denoising sweep over ranks: qualification band plus optional AC curves."""
@@ -88,16 +92,15 @@ class DenoiseReport:
     r2: int | None
     seeds: tuple
     xi: float | None = None
-    ac_window: int = 5
 
     def qualified_mask(self) -> list[bool]:
         return [e.violations <= self.exclusions for e in self.entries]
 
     def ac_curves(self) -> dict:
-        """AC curves with a centered moving average (window ac_window)."""
+        """AC curves with a centered moving average (window _AC_WINDOW)."""
         def smooth(values):
             values = np.asarray(values, dtype=np.float64)
-            half = self.ac_window // 2
+            half = _AC_WINDOW // 2
             out = []
             for i in range(len(values)):
                 lo = max(0, i - half)
@@ -129,12 +132,17 @@ class DenoiseReport:
         return out
 
 
-def _sweep(clean: DataMatrix, noisy: DataMatrix, r_values, seeds, opts, loss,
-           with_ac: bool, threads: int) -> list[DenoiseRankEntry]:
-    r_values = list(r_values)
-    seeds = list(seeds)
-    if not r_values:
+def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclusions: int,
+           xi, with_ac: bool, threads: int) -> DenoiseReport:
+    """Factorize ``noisy`` once per (rank, seed) and build the report from those runs."""
+    ranks = tuple(ranks)
+    seeds = tuple(seeds)
+    if not ranks:
         raise ParameterError("no ranks to scan")
+    if min(ranks) < 1:
+        raise ParameterError("ranks must be >= 1")
+    if exclusions < 0:
+        raise ParameterError("exclusions must be >= 0")
     if not seeds:
         raise ParameterError("seeds must be non-empty")
 
@@ -161,8 +169,14 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, r_values, seeds, opts, loss,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, r_values))
-    return [one(rank) for rank in r_values]
+            entries = tuple(pool.map(one, ranks))
+    else:
+        entries = tuple(one(rank) for rank in ranks)
+    qualified = [e.rank for e in entries if e.violations <= exclusions]
+    return DenoiseReport(ranks=ranks, entries=entries, exclusions=exclusions,
+                         r1=qualified[0] if qualified else None,
+                         r2=qualified[-1] if qualified else None,
+                         seeds=seeds, xi=xi)
 
 
 def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
@@ -179,27 +193,16 @@ def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
         raise ParameterError("r_lo must be >= 1")
     if r_hi < r_lo:
         raise ParameterError("r_hi must be >= r_lo")
-    if exclusions < 0:
-        raise ParameterError("exclusions must be >= 0")
-    ranks = tuple(range(r_lo, r_hi + 1))
-    entries = _sweep(clean, noisy, ranks, seeds, opts, loss, with_ac=False, threads=threads)
-    qualified = [e.rank for e in entries if e.violations <= exclusions]
-    return DenoiseReport(ranks=ranks, entries=tuple(entries), exclusions=exclusions,
-                         r1=qualified[0] if qualified else None,
-                         r2=qualified[-1] if qualified else None,
-                         seeds=tuple(seeds), xi=xi)
+    return _sweep(clean, noisy, range(r_lo, r_hi + 1), seeds, opts, loss, exclusions, xi,
+                  with_ac=False, threads=threads)
 
 
 def compare_with_svd(clean: DataMatrix, distorted: DataMatrix, r_values, seeds=(0,),
                      opts: SolverOptions | None = None, loss: str = LOSS_FROBENIUS,
                      exclusions: int = 2, xi: float | None = None,
                      threads: int = 1) -> DenoiseReport:
-    """Nearest-neighbor accuracy curves over ranks for the factorization
-    (best-of-seeds) and the truncated-SVD baseline on the same distorted input."""
-    ranks = tuple(r_values)
-    entries = _sweep(clean, distorted, ranks, seeds, opts, loss, with_ac=True, threads=threads)
-    qualified = [e.rank for e in entries if e.violations <= exclusions]
-    return DenoiseReport(ranks=ranks, entries=tuple(entries), exclusions=exclusions,
-                         r1=qualified[0] if qualified else None,
-                         r2=qualified[-1] if qualified else None,
-                         seeds=tuple(seeds), xi=xi)
+    """The :func:`find_r_range` report over ``r_values``, plus nearest-neighbor
+    accuracy curves for the factorization (best-of-seeds) and the truncated-SVD
+    baseline on the same distorted input."""
+    return _sweep(clean, distorted, r_values, seeds, opts, loss, exclusions, xi,
+                  with_ac=True, threads=threads)

@@ -10,10 +10,6 @@ class Error(Exception):
     """Base class for all pccnmf errors."""
 
 
-class ConfigurationError(Error):
-    """An unsupported configuration was requested (e.g. non-default Swimmer geometry)."""
-
-
 class FormatError(Error):
     """An input file violates its documented format."""
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, write_rows
 from .errors import DegenerateInputError, FormatError, ParameterError
 
 LOSS_FROBENIUS = "frobenius"
@@ -27,7 +27,7 @@ _FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping and initialization controls for :func:`factorize`.
+    """Stopping controls for :func:`factorize`.
 
     The solver stops when the relative loss change between sweeps drops
     below ``rel_tol``, or after ``max_iters`` sweeps.
@@ -35,15 +35,12 @@ class SolverOptions:
 
     max_iters: int = 2000
     rel_tol: float = 1e-6
-    init: str = "uniform_random"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ParameterError("rel_tol must be > 0")
-        if self.init != "uniform_random":
-            raise ParameterError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,9 @@ class Factorization:
             raise ParameterError("basis and weights must be 2-d")
         if self.basis.shape[1] != self.weights.shape[0]:
             raise ParameterError("basis columns must match weights rows")
+        if self.rank != self.basis.shape[1]:
+            raise ParameterError(
+                f"rank {self.rank} does not match {self.basis.shape[1]} basis columns")
         if np.any(self.basis < 0) or np.any(self.weights < 0):
             raise ParameterError("factors must be nonnegative")
 
@@ -193,15 +193,17 @@ def gauge_transform(f: Factorization, kappa) -> Factorization:
                          trace=f.trace, converged=f.converged)
 
 
+# Keys of meta.json that load_factorization reads, with the JSON types they may have.
+_META_TYPES = {"rank": (int,), "loss": (str,), "seed": (int,), "final_loss": (float, int),
+               "converged": (bool,)}
+
+
 def save_factorization(f: Factorization, dirpath) -> None:
     """Write B.csv, W.csv and meta.json into ``dirpath``."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    for name, arr in (("B.csv", f.basis), ("W.csv", f.weights)):
-        with (dirpath / name).open("w") as fh:
-            for row in arr:
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write("\n")
+    write_rows(dirpath / "B.csv", f.basis)
+    write_rows(dirpath / "W.csv", f.weights)
     meta = {
         "rank": f.rank,
         "loss": f.loss,
@@ -225,7 +227,11 @@ def load_factorization(dirpath) -> Factorization:
         weights = np.loadtxt(dirpath / "W.csv", delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise FormatError(f"{dirpath}: not a factorization directory: {exc}") from None
-    return Factorization(basis=basis, weights=weights, rank=int(meta["rank"]),
-                         loss=meta["loss"], seed=int(meta["seed"]),
+    for key, kind in _META_TYPES.items():
+        if not isinstance(meta, dict) or type(meta.get(key)) not in kind:
+            raise FormatError(f"{dirpath / 'meta.json'}: {key!r} is missing or not "
+                              f"of type {kind[0].__name__}")
+    return Factorization(basis=basis, weights=weights, rank=meta["rank"],
+                         loss=meta["loss"], seed=meta["seed"],
                          trace=np.array([float(meta["final_loss"])]),
-                         converged=bool(meta["converged"]))
+                         converged=meta["converged"])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, write_rows
 from .errors import DegenerateInputError, ParameterError
 from .nmf import Factorization
 
@@ -167,10 +167,7 @@ def export_pcc(pcc: PccModel, dirpath) -> None:
         "approx_joint.csv": pcc.approx_joint,
     }
     for name, arr in matrices.items():
-        with (dirpath / name).open("w") as fh:
-            for row in arr:
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write("\n")
+        write_rows(dirpath / name, arr)
 
 
 def marginal_residuals(m: DataMatrix, f: Factorization) -> tuple[float, float]:

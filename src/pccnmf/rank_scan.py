@@ -112,14 +112,6 @@ def bic_from_error(residual_ss: float, n_pixels: int, n_images: int, rank: int,
     return fit + penalty
 
 
-def bic_scores(m: DataMatrix, f: Factorization, variant: str) -> float:
-    """Information-criterion score of a factorization (see :func:`bic_from_error`)."""
-    recon = f.reconstruct()
-    if recon.shape != m.values.shape:
-        raise ParameterError(f"shape mismatch: data {m.values.shape}, reconstruction {recon.shape}")
-    return bic_from_error(frobenius_error(m, f), m.n_pixels, m.n_images, f.rank, variant)
-
-
 @dataclass(frozen=True)
 class RankScanEntry:
     """Per-(rank, seed) metrics of one scan point."""

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pccnmf import load_matrix
+from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
+                    find_r_range, load_matrix)
 from pccnmf.cli import main
 
 
@@ -30,6 +31,20 @@ class TestExitCodes:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
+
+    def test_threads_below_one_is_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["--threads", "0", "swimmer-gen", "-o", "unused.csv"])
+        assert exc.value.code == 2
+
+    def test_unparsable_env_seed_is_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PCCNMF_SEED", "abc")
+        src = tmp_path / "m.csv"
+        src.write_text("1,0\n0,1\n")
+        out = tmp_path / "p.csv"
+        assert run(["perturb", "-i", str(src), "-o", str(out), "--xi", "0.5"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "p.csv.json").exists()
 
     def test_missing_input_is_1(self, tmp_path, capsys):
         code = run(["factorize", "-i", str(tmp_path / "nope.csv"),
@@ -108,6 +123,25 @@ class TestFactorizeAnalyzeCluster:
         assert (pcc_dir / "summary.json").exists()
         assert (pcc_dir / "cond_pixel_given_basis.csv").exists()
 
+    @pytest.mark.parametrize("edit", [lambda meta: meta.update(rank=5),
+                                      lambda meta: meta.pop("seed")],
+                             ids=["rank-disagrees-with-basis", "seed-missing"])
+    def test_analyze_rejects_bad_meta(self, tmp_path, capsys, edit):
+        # Fixed data: drawing from the session rng would shift every later test's inputs.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.1,0.5,0.9\n0.3,0.2,0.8\n0.7,0.6,0.1\n")
+        fac = tmp_path / "fac"
+        run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+             "--max-iters", "200"])
+        meta = json.loads((fac / "meta.json").read_text())
+        edit(meta)
+        (fac / "meta.json").write_text(json.dumps(meta))
+        code = run(["analyze", "-i", str(matrix), "-f", str(fac),
+                    "-o", str(tmp_path / "analysis.json")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] in ("ParameterError", "FormatError")
+
     def test_cluster_outputs(self, tmp_path, small_csv):
         fac = tmp_path / "fac"
         run(["factorize", "-i", str(small_csv), "-o", str(fac), "--rank", "2",
@@ -173,6 +207,36 @@ class TestDenoiseCommand:
         assert len(doc["outputs"]["ac_nmf"]) == 4
         lines = (tmp_path / "den.csv").read_text().splitlines()
         assert lines[0] == "R,ac_nmf,ac_svd,ac_nmf_smoothed,ac_svd_smoothed,violations"
+
+    def test_svd_baseline_factorizes_each_point_once(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PCCNMF_SEED", raising=False)
+        values = np.random.default_rng(7).random((6, 8)) * 0.9
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("\n".join(",".join("%.17g" % x for x in row) for row in values) + "\n")
+        calls = []
+        original = denoising.factorize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(denoising, "factorize", counting)
+        out = tmp_path / "den.json"
+        assert run(["denoise", "-i", str(matrix), "-o", str(out), "--xi", "0.2",
+                    "--seed", "3", "--r-lo", "1", "--r-hi", "3", "--seeds", "2",
+                    "--baseline", "svd", "--max-iters", "100"]) == 0
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+
+        doc = json.loads(out.read_text())["outputs"]
+        clean = DataMatrix(values)
+        noisy = apply_flip_noise(clean, 0.2, 3)
+        opts = SolverOptions(max_iters=100)
+        plain = find_r_range(clean, noisy, 1, 3, seeds=[0, 1], opts=opts)
+        svd = compare_with_svd(clean, noisy, range(1, 4), seeds=[0, 1], opts=opts)
+        assert doc["violations"] == [e.violations for e in plain.entries]
+        assert doc["min_margins"] == [e.min_margin for e in plain.entries]
+        for name, curve in svd.ac_curves().items():
+            assert doc[name] == curve
 
 
 class TestReportBundle:

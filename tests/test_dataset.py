@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccnmf import (ConfigurationError, DataMatrix, FormatError, ParameterError, SwimmerSpec,
-                    apply_flip_noise, binarize, generate_swimmer, load_matrix, rescale,
-                    save_matrix, swimmer_parts)
+from pccnmf import (DataMatrix, FormatError, ParameterError, apply_flip_noise, binarize,
+                    generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
 
 
 class TestDataMatrix:
@@ -59,10 +58,6 @@ class TestSwimmer:
 
     def test_images_distinct(self, swimmer):
         assert len({tuple(col) for col in swimmer.values.T}) == 256
-
-    def test_non_default_geometry_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_swimmer(SwimmerSpec(image_side=15))
 
 
 class TestCsvIO:

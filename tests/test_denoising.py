@@ -146,6 +146,8 @@ class TestFindRRange:
             find_r_range(m, m, 3, 2)
         with pytest.raises(ParameterError):
             find_r_range(m, m, 1, 2, exclusions=-1)
+        with pytest.raises(ParameterError):
+            compare_with_svd(m, m, (1, 2), exclusions=-1)
 
 
 class TestCompareWithSvd:

@@ -138,8 +138,6 @@ class TestFactorize:
             SolverOptions(max_iters=0)
         with pytest.raises(ParameterError):
             SolverOptions(rel_tol=0.0)
-        with pytest.raises(ParameterError):
-            SolverOptions(init="zeros")
 
 
 class TestGauge:
