@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, factorize, truncated_svd
+from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, _truncate, factorize
 from .stability import cosine_distance_matrix
 
 
@@ -145,6 +145,9 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclu
         raise ParameterError("exclusions must be >= 0")
     if not seeds:
         raise ParameterError("seeds must be non-empty")
+    # One SVD of the noisy matrix serves every rank; factorize has already
+    # rejected any rank the truncation could not take.
+    svd = np.linalg.svd(noisy.values, full_matrices=False) if with_ac else None
 
     def one(rank):
         best_violations = None
@@ -163,7 +166,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclu
                 best_loss = final
                 best_recon = f.reconstruct()
         ac_nmf = accuracy(clean, best_recon) if with_ac else None
-        ac_svd = accuracy(clean, truncated_svd(noisy, rank)) if with_ac else None
+        ac_svd = accuracy(clean, _truncate(svd, rank)) if with_ac else None
         return DenoiseRankEntry(rank=rank, violations=best_violations,
                                 min_margin=best_min_margin, ac_nmf=ac_nmf, ac_svd=ac_svd)
 

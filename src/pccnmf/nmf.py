@@ -173,7 +173,12 @@ def truncated_svd(m: DataMatrix, rank: int) -> np.ndarray:
     data = m.values
     if not 1 <= rank <= min(data.shape):
         raise ParameterError(f"rank must lie in [1, {min(data.shape)}], got {rank}")
-    u, s, vt = np.linalg.svd(data, full_matrices=False)
+    return _truncate(np.linalg.svd(data, full_matrices=False), rank)
+
+
+def _truncate(svd, rank: int) -> np.ndarray:
+    """Rank-``rank`` product of a thin SVD ``(u, s, vt)``."""
+    u, s, vt = svd
     return (u[:, :rank] * s[:rank]) @ vt[:rank]
 
 

@@ -50,17 +50,18 @@ def cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - cos
 
 
-def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-cost perfect matching on a square cost matrix.
+def _hungarian(cost) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Shortest-augmenting-path Hungarian method, O(n^3), with its duals.
 
-    Shortest-augmenting-path Hungarian method, O(n^3). Returns
-    (columns, total) where columns[row] is the assigned column. Deterministic;
-    among equal-cost optima it returns one fixed solution (see
-    :func:`lexicographic_assignment` for the tie-break used publicly).
+    Returns (columns, total, u, v): columns[row] is the assigned column, and
+    the row and column potentials satisfy u[i] + v[j] <= cost[i, j] up to
+    float roundoff, with equality on the assigned edges.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ParameterError("cost matrix must be square")
+    if not np.isfinite(cost).all():
+        raise ParameterError("cost matrix must be finite")
     n = cost.shape[0]
     # Potentials and matching use 1-based columns; column 0 is the virtual root.
     u = np.zeros(n + 1)
@@ -95,40 +96,91 @@ def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     for col in range(1, n + 1):
         columns[match[col] - 1] = col - 1
     total = float(cost[np.arange(n), columns].sum())
+    return columns, total, u[1:], v[1:]
+
+
+def solve_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimum-cost perfect matching on a square, finite cost matrix.
+
+    One Hungarian solve (shortest augmenting paths, O(n^3)). Returns
+    (columns, total) where columns[row] is the assigned column. Deterministic;
+    among equal-cost optima it returns one fixed solution, not necessarily
+    the lexicographically smallest (see :func:`lexicographic_assignment`).
+    Raises ParameterError for a non-square cost or a NaN or infinite entry.
+    """
+    columns, total, _, _ = _hungarian(cost)
     return columns, total
+
+
+def _can_complete(near_tight: np.ndarray, witness: np.ndarray, row: int, col: int) -> bool:
+    """Whether the rows after ``row`` can take the free columns other than
+    ``col`` along near-tight edges only.
+
+    The witness matches those rows to the free columns other than
+    witness[row]. Giving ``col`` to ``row`` unmatches the row that holds it,
+    so a perfect matching exists exactly when an alternating path leads from
+    that row to the column witness[row] (Berge's theorem).
+    """
+    n = witness.size
+    owner = np.empty(n, dtype=np.int64)
+    owner[witness] = np.arange(n)
+    unvisited = np.zeros(n, dtype=bool)
+    unvisited[witness[row:]] = True
+    unvisited[col] = False
+    target = witness[row]
+    stack = [owner[col]]
+    while stack:
+        r = stack.pop()
+        if near_tight[r, target]:
+            return True
+        reached = np.flatnonzero(near_tight[r] & unvisited)
+        unvisited[reached] = False
+        stack.extend(owner[reached])
+    return False
 
 
 def lexicographic_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Lexicographically-smallest assignment among the minimum-cost optima.
 
-    Greedy prefix refinement: for each row in order, keep the smallest column
-    that still allows the known optimal total (within 1e-10 relative slack,
-    which absorbs float roundoff and treats numerically-tied optima as ties).
+    The rule is greedy: for each row in order, take the smallest free column
+    that some completion of the later rows keeps within the optimal total,
+    where "within" allows 1e-10 * (1 + |total|), so that numerically tied
+    optima count as ties. Raises ParameterError as :func:`solve_assignment`.
+
+    One Hungarian solve gives the total, an optimal assignment (the witness)
+    and dual potentials u, v with u[i] + v[j] <= cost[i, j]. An assignment
+    costs sum(u) + sum(v) plus the sum of its reduced costs
+    cost[i, j] - u[i] - v[j], all of them nonnegative, so one within the
+    tolerance uses only near-tight edges: reduced cost at most the tolerance
+    plus a slack of 1e-8 relative to the magnitudes of the total and the
+    duals, far above their float roundoff. The witness agrees with the
+    columns chosen so far, so its column in the current row passes the rule
+    and is taken without a solve. A smaller free column is skipped without a
+    solve when its edge is not near-tight (the dual bound), or when the later
+    rows cannot be re-matched along near-tight edges without it. Only the
+    near-ties left are decided as by the plain greedy, by solving the
+    leftover sub-problem; an accepted column's sub-solution becomes the new
+    witness. A matrix without near-tied optima therefore costs one solve.
     """
+    witness, total, u, v = _hungarian(cost)
     cost = np.asarray(cost, dtype=np.float64)
-    _, total = solve_assignment(cost)
-    n = cost.shape[0]
     tol = 1e-10 * (1.0 + abs(total))
-    free = list(range(n))
-    chosen = np.zeros(n, dtype=np.int64)
+    slack = 1e-8 * (1.0 + abs(total) + np.abs(u).sum() + np.abs(v).sum())
+    near_tight = cost - u[:, None] - v[None, :] <= tol + slack
     prefix = 0.0
-    for row in range(n):
-        for pos, col in enumerate(free):
-            rest_rows = np.arange(row + 1, n)
-            rest_cols = [c for c in free if c != col]
-            if rest_rows.size:
-                _, rest = solve_assignment(cost[np.ix_(rest_rows, rest_cols)])
-            else:
-                rest = 0.0
+    for row in range(cost.shape[0]):
+        free = np.sort(witness[row:])
+        for col in free[(free < witness[row]) & near_tight[row, free]]:
+            if not _can_complete(near_tight, witness, row, col):
+                continue
+            rest_cols = free[free != col]
+            sub, rest = solve_assignment(cost[row + 1:, rest_cols])
             if prefix + cost[row, col] + rest <= total + tol:
-                chosen[row] = col
-                prefix += cost[row, col]
-                free.pop(pos)
+                witness[row] = col
+                witness[row + 1:] = rest_cols[sub]
                 break
-        else:
-            raise AssertionError("no feasible column found; assignment solver is inconsistent")
-    total = float(cost[np.arange(n), chosen].sum())
-    return chosen, total
+        prefix += cost[row, witness[row]]
+    return witness, float(cost[np.arange(cost.shape[0]), witness].sum())
 
 
 @dataclass(frozen=True)

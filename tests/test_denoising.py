@@ -176,6 +176,26 @@ class TestCompareWithSvd:
                 accuracy(clean, truncated_svd(noisy, entry.rank)))
         assert len(report.ac_curves()["ac_nmf_smoothed"]) == 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_svd_per_sweep(self, monkeypatch, threads):
+        rng = np.random.default_rng(41)
+        clean = DataMatrix(rng.random((9, 8)))
+        noisy = apply_flip_noise(clean, 0.3, seed=2)
+        expected = [accuracy(clean, truncated_svd(noisy, r)) for r in (2, 3, 4)]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = compare_with_svd(clean, noisy, r_values=(2, 3, 4), seeds=(0,),
+                                  opts=SolverOptions(max_iters=50, rel_tol=1e-10),
+                                  threads=threads)
+        assert len(calls) == 1
+        assert [e.ac_svd for e in report.entries] == expected
+
     def test_smoothing_window(self):
         from pccnmf import DenoiseRankEntry, DenoiseReport
         entries = tuple(DenoiseRankEntry(rank=r, violations=0, min_margin=0.0,

@@ -6,6 +6,7 @@ import pytest
 from pccnmf import (ParameterError, SolverOptions, cosine_distance, cosine_distance_matrix,
                     distance_histogram, lexicographic_assignment, match_bases,
                     solve_assignment, stability_experiment)
+from pccnmf import stability
 
 
 def brute_force_assignment(cost):
@@ -19,6 +20,55 @@ def brute_force_assignment(cost):
             best_total = total
             best_perm = perm
     return np.array(best_perm), best_total
+
+
+def brute_force_lexicographic(cost):
+    """First permutation, in lexicographic order, within the tie tolerance of the minimum."""
+    n = cost.shape[0]
+    perms = list(itertools.permutations(range(n)))
+    totals = [float(cost[np.arange(n), perm].sum()) for perm in perms]
+    best = min(totals)
+    tol = 1e-10 * (1.0 + abs(best))
+    first = next(i for i, t in enumerate(totals) if t <= best + tol)
+    return np.array(perms[first]), totals[first]
+
+
+def greedy_oracle(cost):
+    """The plain greedy rule: one full solve per (row, candidate column) prefix."""
+    cost = np.asarray(cost, dtype=np.float64)
+    _, total = solve_assignment(cost)
+    n = cost.shape[0]
+    tol = 1e-10 * (1.0 + abs(total))
+    free = list(range(n))
+    chosen = np.zeros(n, dtype=np.int64)
+    prefix = 0.0
+    for row in range(n):
+        for pos, col in enumerate(free):
+            rest_rows = np.arange(row + 1, n)
+            rest_cols = [c for c in free if c != col]
+            if rest_rows.size:
+                _, rest = solve_assignment(cost[np.ix_(rest_rows, rest_cols)])
+            else:
+                rest = 0.0
+            if prefix + cost[row, col] + rest <= total + tol:
+                chosen[row] = col
+                prefix += cost[row, col]
+                free.pop(pos)
+                break
+    return chosen, float(cost[np.arange(n), chosen].sum())
+
+
+def tie_heavy_costs(rng, n):
+    """One cost matrix of each kind: constant, duplicated columns, cosine cost of a
+    basis against a column-permuted copy of itself, small integers, uniform random."""
+    yield "constant", np.full((n, n), rng.random())
+    base = rng.random((n, max(1, n // 2)))
+    yield "duplicated", base[:, rng.integers(0, base.shape[1], n)]
+    basis = rng.random((6, n))
+    basis[:, rng.integers(0, n, n // 2)] = basis[:, rng.integers(0, n, n // 2)]
+    yield "permuted", cosine_distance_matrix(basis, basis[:, rng.permutation(n)])
+    yield "integer", rng.integers(0, 3, (n, n)).astype(np.float64)
+    yield "random", rng.random((n, n))
 
 
 class TestCosineDistance:
@@ -97,6 +147,65 @@ class TestAssignmentSolver:
     def test_non_square_rejected(self):
         with pytest.raises(ParameterError):
             solve_assignment(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        cost = np.ones((2, 2))
+        cost[0, 1] = bad
+        with pytest.raises(ParameterError):
+            solve_assignment(cost)
+        with pytest.raises(ParameterError):
+            lexicographic_assignment(cost)
+
+    def test_lexicographic_matches_brute_force_on_tie_heavy_costs(self):
+        rng = np.random.default_rng(1)
+        kinds = set()
+        for n in range(1, 7):
+            for _ in range(4):
+                for kind, cost in tie_heavy_costs(rng, n):
+                    kinds.add(kind)
+                    cols, total = lexicographic_assignment(cost)
+                    expected_cols, expected_total = brute_force_lexicographic(cost)
+                    np.testing.assert_array_equal(cols, expected_cols, err_msg=kind)
+                    assert total == pytest.approx(expected_total, rel=1e-12, abs=1e-12)
+        assert len(kinds) == 5
+
+    def test_lexicographic_agrees_with_greedy_oracle(self):
+        rng = np.random.default_rng(2)
+        checked = 0
+        for n in range(1, 11):
+            for _ in range(5):
+                for kind, cost in tie_heavy_costs(rng, n):
+                    cols, total = lexicographic_assignment(cost)
+                    expected_cols, expected_total = greedy_oracle(cost)
+                    np.testing.assert_array_equal(cols, expected_cols, err_msg=kind)
+                    assert total == expected_total
+                    checked += 1
+        assert checked >= 200
+
+    def test_tie_free_match_solves_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        b1 = rng.random((50, 40))
+        b2 = rng.random((50, 40))
+        expected_cols, expected_total = greedy_oracle(cosine_distance_matrix(b1, b2))
+        solves = []
+        hungarian = stability._hungarian
+        solve = stability.solve_assignment
+
+        def counting_hungarian(cost):
+            solves.append("_hungarian")
+            return hungarian(cost)
+
+        def counting_solve(cost):
+            solves.append("solve_assignment")
+            return solve(cost)
+
+        monkeypatch.setattr(stability, "_hungarian", counting_hungarian)
+        monkeypatch.setattr(stability, "solve_assignment", counting_solve)
+        matching = match_bases(b1, b2)
+        assert solves == ["_hungarian"]
+        np.testing.assert_array_equal(matching.assignment, expected_cols)
+        assert matching.total == expected_total
 
 
 class TestMatchBases:
