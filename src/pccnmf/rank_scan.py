@@ -84,10 +84,15 @@ def mean_internal_distance(f: Factorization) -> float:
 
 def rrssq(m: DataMatrix, f: Factorization) -> float:
     """Relative residual: ||P - reconstruction||_F / ||P||_F."""
+    return _relative_residual(m, frobenius_error(m, f))
+
+
+def _relative_residual(m: DataMatrix, error: float) -> float:
+    """sqrt(error) / ||P||_F for a squared Frobenius error already in hand."""
     norm = float(np.sqrt(np.sum(m.values ** 2)))
     if norm == 0:
         raise DegenerateInputError("all-zero matrix has no relative residual")
-    return float(np.sqrt(frobenius_error(m, f))) / norm
+    return float(np.sqrt(error)) / norm
 
 
 def bic_from_error(residual_ss: float, n_pixels: int, n_images: int, rank: int,
@@ -202,7 +207,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
         return RankScanEntry(
             rank=rank, seed=seed, valid_fraction=fraction,
             mean_internal_distance=mean_internal_distance(f) if rank >= 2 else float("nan"),
-            frobenius_error=error, rrssq=rrssq(m, f),
+            frobenius_error=error, rrssq=_relative_residual(m, error),
             bic1=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic1"),
             bic2=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic2"),
             bic3=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic3"),

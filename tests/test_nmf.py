@@ -5,6 +5,7 @@ from pccnmf import (DataMatrix, DegenerateInputError, Factorization, ParameterEr
                     SolverOptions, factorize, frobenius_error, gauge_transform,
                     kl_divergence, load_factorization, rrssq, save_factorization,
                     truncated_svd)
+from conftest import random_mixture
 
 
 def frobenius_oracle(data, recon):
@@ -27,6 +28,54 @@ def kl_oracle(data, recon):
             else:
                 total += q
     return total
+
+
+def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None):
+    """Reference for factorize: the same multiplicative updates, with the loss
+    recomputed from a full reconstruction after every sweep. Returns
+    (basis, weights, trace, converged)."""
+    opts = opts or SolverOptions()
+    data = m.values
+    floor = 1e-12
+    rng = np.random.default_rng(seed)
+    amplitude = np.sqrt(data.mean() / rank)
+    basis = (1.0 - rng.random((data.shape[0], rank))) * amplitude
+    weights = (1.0 - rng.random((rank, data.shape[1]))) * amplitude
+
+    def loss_value(recon):
+        if loss == "frobenius":
+            return float(np.sum((data - recon) ** 2))
+        pos = data > 0
+        if np.any(recon[pos] == 0):
+            return float("inf")
+        fit = float(np.sum(data[pos] * np.log(data[pos] / recon[pos])))
+        return fit - float(data.sum()) + float(recon.sum())
+
+    trace = [loss_value(basis @ weights)]
+    converged = False
+    for _ in range(opts.max_iters):
+        if loss == "frobenius":
+            numer = data @ weights.T
+            denom = basis @ (weights @ weights.T)
+            basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
+            numer = basis.T @ data
+            denom = (basis.T @ basis) @ weights
+            weights = np.maximum(weights * numer / np.maximum(denom, floor), floor)
+        else:
+            recon = np.maximum(basis @ weights, floor)
+            basis = basis * ((data / recon) @ weights.T) / np.maximum(weights.sum(axis=1), floor)
+            basis = np.maximum(basis, floor)
+            recon = np.maximum(basis @ weights, floor)
+            weights = weights * (basis.T @ (data / recon)) / np.maximum(
+                basis.sum(axis=0)[:, None], floor)
+            weights = np.maximum(weights, floor)
+        current = loss_value(basis @ weights)
+        previous = trace[-1]
+        trace.append(current)
+        if abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
+            converged = True
+            break
+    return basis, weights, np.array(trace), converged
 
 
 def make_factorization(basis, weights, loss="frobenius"):
@@ -138,6 +187,59 @@ class TestFactorize:
             SolverOptions(max_iters=0)
         with pytest.raises(ParameterError):
             SolverOptions(rel_tol=0.0)
+
+
+class TestLossTrace:
+    """The per-sweep loss comes from the update's own products; the factors,
+    the stopping sweep and the final loss must equal the reference loop's."""
+
+    @staticmethod
+    def assert_matches_reference(m, rank, loss, seed, opts=None):
+        f = factorize(m, rank, loss=loss, seed=seed, opts=opts)
+        basis, weights, trace, converged = reference_factorize(m, rank, loss, seed, opts)
+        assert np.array_equal(f.basis, basis)
+        assert np.array_equal(f.weights, weights)
+        assert (len(f.trace), f.converged) == (len(trace), converged)
+        if loss == "kl":
+            assert np.array_equal(f.trace, trace)
+        else:
+            np.testing.assert_allclose(f.trace, trace, rtol=1e-9, atol=0)
+            assert f.trace[-1] == trace[-1]
+        return f
+
+    @pytest.mark.parametrize("loss", ["frobenius", "kl"])
+    @pytest.mark.parametrize("rank", [9, 17])
+    def test_swimmer_matches_reference(self, swimmer, loss, rank):
+        f = self.assert_matches_reference(swimmer, rank, loss, seed=0)
+        if rank == 17:
+            assert len(f.trace) - 1 == SolverOptions().max_iters   # capped run
+
+    @pytest.mark.parametrize("loss", ["frobenius", "kl"])
+    def test_random_mixture_matches_reference(self, loss):
+        m = random_mixture(np.random.default_rng(5), 30, 40, 4)[0]
+        self.assert_matches_reference(m, 4, loss, seed=2)
+
+    def test_final_entry_is_public_loss(self, swimmer):
+        rng = np.random.default_rng(6)
+        noisy = DataMatrix(swimmer.values * (rng.random(swimmer.values.shape) < 0.9))
+        for m in (swimmer, noisy):
+            for opts in (SolverOptions(max_iters=40), SolverOptions()):
+                f = factorize(m, 7, loss="frobenius", seed=1, opts=opts)
+                assert f.trace[-1] == frobenius_error(m, f)
+                g = factorize(m, 7, loss="kl", seed=1, opts=opts)
+                assert g.trace[-1] == kl_divergence(m, g)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
+    def test_exact_rank_one_trace_stays_nonnegative(self, rel_tol):
+        # Near an exact fit the Gram form of the squared error cancels to
+        # roundoff and can go negative; the sweep must fall back to the
+        # direct sum there and stop where the reference loop stops.
+        rng = np.random.default_rng(0)
+        outer = np.outer(rng.random(6) + 0.1, rng.random(8) + 0.1)
+        m = DataMatrix(outer / outer.max())
+        opts = SolverOptions(rel_tol=rel_tol)
+        f = self.assert_matches_reference(m, 1, "frobenius", seed=0, opts=opts)
+        assert np.all(f.trace >= 0)
 
 
 class TestGauge:

@@ -1,0 +1,99 @@
+"""Golden outputs of every pccnmf CLI subcommand, for byte-for-byte comparison.
+
+    python3 tools/golden.py OUTDIR
+
+Runs each subcommand of the pccnmf package in the ``src/`` directory next to
+this script, with ``PCCNMF_TIMESTAMP`` and ``PCCNMF_SEED`` pinned, inside
+OUTDIR (which must not exist yet). Every file the commands write, and the
+stdout and stderr of each command, stay in OUTDIR; ``OUTDIR/SHA256SUMS``
+lists their SHA-256 digests in the format of ``sha256sum``. Commands run
+with relative paths, so the outputs do not depend on where OUTDIR is.
+
+Two checkouts give equal outputs when their SHA256SUMS files are equal. The
+script uses only the standard library and takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ENV = {"PCCNMF_TIMESTAMP": "2000-01-01T00:00:00Z", "PCCNMF_SEED": "5"}
+
+# (name, arguments). Later commands read what earlier ones wrote.
+COMMANDS = (
+    ("swimmer-gen", ["swimmer-gen", "-o", "swim.csv"]),
+    ("perturb-seed", ["perturb", "-i", "swim.csv", "-o", "noisy.csv", "--xi", "0.05",
+                      "--seed", "3"]),
+    ("perturb-env-seed", ["perturb", "-i", "swim.csv", "-o", "noisy_env.csv", "--xi", "0.1"]),
+    ("perturb-binarize", ["perturb", "-i", "noisy.csv", "-o", "binary.csv", "--binarize"]),
+    ("factorize-frobenius", ["factorize", "-i", "swim.csv", "-o", "fac_frob", "--rank", "17",
+                             "--seed", "0"]),
+    ("factorize-kl", ["factorize", "-i", "noisy.csv", "-o", "fac_kl", "--rank", "14",
+                      "--loss", "kl", "--seed", "1"]),
+    ("rank-scan", ["rank-scan", "-i", "swim.csv", "-o", "scan.json", "--r-min", "12",
+                   "--r-max", "17", "--seeds", "3"]),
+    ("rank-scan-threads2", ["--threads", "2", "rank-scan", "-i", "swim.csv", "-o",
+                            "scan_t2.json", "--r-min", "12", "--r-max", "17", "--seeds", "3"]),
+    ("rank-scan-dual-kl", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl.json",
+                           "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
+                           "--loss", "kl"]),
+    ("denoise-none", ["denoise", "-i", "swim.csv", "-o", "denoise_none.json", "--xi", "0.25",
+                      "--seed", "7", "--r-lo", "10", "--r-hi", "12", "--seeds", "2"]),
+    ("denoise-svd", ["denoise", "-i", "swim.csv", "-o", "denoise_svd.json", "--xi", "0.25",
+                     "--seed", "7", "--r-lo", "10", "--r-hi", "12", "--seeds", "2",
+                     "--baseline", "svd"]),
+    ("stability-seed-pair-14", ["stability", "-i", "swim.csv", "-o", "stab_seed_14.json",
+                                "--mode", "seed-pair", "--rank", "14"]),
+    ("stability-seed-pair-60", ["stability", "-i", "swim.csv", "-o", "stab_seed_60.json",
+                                "--mode", "seed-pair", "--rank", "60"]),
+    ("stability-noise-split-14", ["stability", "-i", "swim.csv", "-o", "stab_noise_14.json",
+                                  "--mode", "noise-split", "--rank", "14", "--xi", "0.05"]),
+    ("stability-noise-split-60", ["stability", "-i", "swim.csv", "-o", "stab_noise_60.json",
+                                  "--mode", "noise-split", "--rank", "60", "--xi", "0.05"]),
+    ("analyze-export-pcc", ["analyze", "-i", "noisy.csv", "-f", "fac_frob", "-o",
+                            "analysis.json", "--export-pcc", "pcc"]),
+    ("analyze-kl", ["analyze", "-i", "noisy.csv", "-f", "fac_kl", "-o", "analysis_kl.json"]),
+    ("cluster", ["cluster", "-i", "swim.csv", "-f", "fac_frob", "-o", "clusters",
+                 "--pixel-shape", "13x13"]),
+    ("cluster-k3-any", ["cluster", "-i", "swim.csv", "-f", "fac_kl", "-o", "clusters_k3",
+                        "--k", "3", "--no-require-positive"]),
+    ("report", ["report", "-o", "bundle.json", "scan.json", "denoise_svd.json",
+                "stab_seed_60.json"]),
+)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True)
+    env = dict(os.environ, **ENV)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    logs = out / "logs"
+    logs.mkdir()
+    for name, args in COMMANDS:
+        print(f"golden: {name}", file=sys.stderr, flush=True)
+        done = subprocess.run([sys.executable, "-m", "pccnmf.cli", *args], cwd=out, env=env,
+                              capture_output=True, text=True)
+        (logs / f"{name}.stdout").write_text(done.stdout)
+        (logs / f"{name}.stderr").write_text(done.stderr)
+        if done.returncode != 0:
+            print(f"golden: {name} exited {done.returncode}:\n{done.stderr}", file=sys.stderr)
+            return 1
+    sums = sorted(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in out.rglob("*") if path.is_file())
+    (out / "SHA256SUMS").write_text("\n".join(sums) + "\n")
+    print(f"golden: {len(sums)} files in {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
