@@ -56,14 +56,9 @@ def accuracy(clean: DataMatrix, recon_noisy: np.ndarray) -> float:
         raise ParameterError(
             f"shape mismatch: clean {clean.values.shape}, reconstruction {recon_noisy.shape}")
     dist = cosine_distance_matrix(clean.values, recon_noisy)
-    hits = 0
-    n_images = clean.n_images
-    for i in range(n_images):
-        column = dist[:, i]
-        best = column.min()
-        if column[i] == best and int((column == best).sum()) == 1:
-            hits += 1
-    return hits / n_images
+    best = dist.min(axis=0)
+    hits = (np.diagonal(dist) == best) & ((dist == best).sum(axis=0) == 1)
+    return int(hits.sum()) / clean.n_images
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,18 @@ The loss is recorded after every sweep without a pass over the N x M
 reconstruction where possible. The squared error comes from products the
 weights update has already formed, ||P||^2 - <W, 2 B^T P - (B^T B) W>. Near an
 exact fit that difference loses digits, so below a guard (``_GRAM_GUARD``)
-the sweep takes the direct sum instead. The KL divergence keeps its direct
-formula, with the data-side terms computed once per run and the sweep's
-product B W reused by the next sweep. The last trace entry is always the
-direct value, equal to :func:`frobenius_error` or :func:`kl_divergence` of
-the result.
+the sweep takes the direct sum instead. The Gram form and ||P||^2 are summed
+by numpy, not by a BLAS dot, whose bits vary with the BLAS thread count.
+
+The KL update needs P / max(B W, floor), which is 0 wherever P is 0. So the
+flat indices of the support of P, P on them and the sum of P are computed once
+per run. Each half-update gathers B W on the support only, floors and divides
+there, and writes the result into a ratio buffer whose other entries stay 0.
+The gather of the sweep's B W serves both its loss and the next sweep's basis
+update. The four products with the factors and the sum of B W in the loss
+stay full-matrix, so factors and traces equal those of the dense update bit
+for bit. The last trace entry is always the direct value, equal to
+:func:`frobenius_error` or :func:`kl_divergence` of the result.
 """
 
 from __future__ import annotations
@@ -101,14 +108,15 @@ def _squared_error(data: np.ndarray, recon: np.ndarray) -> float:
 
 
 def _kl_data_terms(data: np.ndarray) -> tuple:
-    """The data-side parts of the KL divergence: support mask, P on it, sum of P."""
-    pos = data > 0
-    return pos, data[pos], float(data.sum())
+    """The data-side parts of the KL divergence: the flat (C-order) indices of the
+    support of P, P on them, and the sum of P."""
+    support = np.flatnonzero(data > 0)
+    return support, data.take(support), float(data.sum())
 
 
-def _generalized_kl(data_terms: tuple, recon: np.ndarray) -> float:
-    pos, data_pos, data_sum = data_terms
-    recon_pos = recon[pos]
+def _generalized_kl(data_terms: tuple, recon: np.ndarray, recon_pos: np.ndarray) -> float:
+    """KL divergence of ``recon`` from the data; ``recon_pos`` is ``recon`` on the support."""
+    _, data_pos, data_sum = data_terms
     if np.any(recon_pos == 0):
         return float("inf")
     fit = float(np.sum(data_pos * np.log(data_pos / recon_pos)))
@@ -140,12 +148,19 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
     weights = (1.0 - rng.random((rank, n_images))) * amplitude
 
     if loss == LOSS_FROBENIUS:
-        norm_sq = float(np.vdot(data, data))
+        norm_sq = float(np.sum(data * data))
         trace = [_squared_error(data, basis @ weights)]
     else:
         data_terms = _kl_data_terms(data)
+        support, data_pos, _ = data_terms
+        # P / max(BW, floor) is 0 off the support, so only the support is ever
+        # written. zeros(shape) is C-ordered whatever the order of P, so
+        # ravel() is a view and take() indexes it in the same order.
+        ratio = np.zeros(data.shape)
+        flat_ratio = ratio.ravel()
         product = basis @ weights
-        trace = [_generalized_kl(data_terms, product)]
+        product_pos = product.take(support)
+        trace = [_generalized_kl(data_terms, product, product_pos)]
     converged = False
     for _ in range(opts.max_iters):
         if loss == LOSS_FROBENIUS:
@@ -159,20 +174,24 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
             # ||P - BW||^2 = ||P||^2 - <W, 2 B^T P - (B^T B) W>. Combining the
             # two R x M terms before the sum about halves the cancellation error of
             # ||P||^2 - 2<B^T P, W> + <B^T B, W W^T>.
-            current = norm_sq - float(np.vdot(weights, 2.0 * numer - basis_gram @ weights))
+            # Summed by numpy, not by a BLAS dot, whose bits vary with the BLAS
+            # thread count; the in-place multiply saves a temporary.
+            gap = 2.0 * numer - basis_gram @ weights
+            gap *= weights
+            current = norm_sq - float(gap.sum())
             if current * opts.rel_tol <= _GRAM_GUARD * norm_sq:
                 current = _squared_error(data, basis @ weights)
         else:
-            recon = np.maximum(product, _FLOOR)
-            basis = basis * ((data / recon) @ weights.T) / np.maximum(
-                weights.sum(axis=1), _FLOOR)
+            flat_ratio[support] = data_pos / np.maximum(product_pos, _FLOOR)
+            basis = basis * (ratio @ weights.T) / np.maximum(weights.sum(axis=1), _FLOOR)
             basis = np.maximum(basis, _FLOOR)
-            recon = np.maximum(basis @ weights, _FLOOR)
-            weights = weights * (basis.T @ (data / recon)) / np.maximum(
+            flat_ratio[support] = data_pos / np.maximum((basis @ weights).take(support), _FLOOR)
+            weights = weights * (basis.T @ ratio) / np.maximum(
                 basis.sum(axis=0)[:, None], _FLOOR)
             weights = np.maximum(weights, _FLOOR)
             product = basis @ weights
-            current = _generalized_kl(data_terms, product)
+            product_pos = product.take(support)
+            current = _generalized_kl(data_terms, product, product_pos)
         previous = trace[-1]
         trace.append(current)
         if abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
@@ -202,7 +221,8 @@ def kl_divergence(m: DataMatrix, f: Factorization) -> float:
     recon = f.reconstruct()
     if recon.shape != m.values.shape:
         raise ParameterError(f"shape mismatch: data {m.values.shape}, reconstruction {recon.shape}")
-    return _generalized_kl(_kl_data_terms(m.values), recon)
+    data_terms = _kl_data_terms(m.values)
+    return _generalized_kl(data_terms, recon, recon.take(data_terms[0]))
 
 
 def truncated_svd(m: DataMatrix, rank: int) -> np.ndarray:

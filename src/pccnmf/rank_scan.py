@@ -203,7 +203,8 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
             fraction = dual_predictability_fraction(m, pcc)
         else:
             fraction = predictability_fraction(pcc)
-        error = frobenius_error(m, f)
+        # The Frobenius trace ends on the direct squared error.
+        error = float(f.trace[-1]) if loss == LOSS_FROBENIUS else frobenius_error(m, f)
         return RankScanEntry(
             rank=rank, seed=seed, valid_fraction=fraction,
             mean_internal_distance=mean_internal_distance(f) if rank >= 2 else float("nan"),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions, accuracy,
-                    apply_flip_noise, compare_with_svd, denoise_margins, find_r_range,
-                    truncated_svd)
+                    apply_flip_noise, compare_with_svd, cosine_distance_matrix,
+                    denoise_margins, find_r_range, truncated_svd)
 
 
 def make_factorization(basis, weights):
@@ -91,6 +91,25 @@ class TestAccuracy:
     def test_duplicate_clean_images_tie_counts_as_miss(self):
         clean = DataMatrix(np.array([[1.0, 1.0], [0.5, 0.5]]))
         assert accuracy(clean, clean.values.copy()) == 0.0
+
+    def test_equals_per_image_loop(self):
+        # Duplicated clean images, a zero image and copied reconstructions make
+        # ties in many columns; each must count as a miss, as in the loop.
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            values = rng.random((6, 10)) * (rng.random((6, 10)) < 0.7)
+            values[:, rng.integers(10, size=3)] = values[:, rng.integers(10, size=3)]
+            values[:, trial % 10] = 0.0
+            clean = DataMatrix(values)
+            recon = rng.random((6, 10))
+            recon[:, :4] = values[:, rng.integers(10, size=4)]
+            dist = cosine_distance_matrix(clean.values, recon)
+            hits = 0
+            for i in range(10):
+                column = dist[:, i]
+                if column[i] == column.min() and int((column == column.min()).sum()) == 1:
+                    hits += 1
+            assert accuracy(clean, recon) == hits / 10
 
     def test_random_permutation_baseline_one_over_m(self, rng, swimmer):
         # Fixed-point fraction of a random permutation averages to 1/M.

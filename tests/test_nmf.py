@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -228,6 +233,52 @@ class TestLossTrace:
                 assert f.trace[-1] == frobenius_error(m, f)
                 g = factorize(m, 7, loss="kl", seed=1, opts=opts)
                 assert g.trace[-1] == kl_divergence(m, g)
+
+    @staticmethod
+    def graded_matrix():
+        rng = np.random.default_rng(10)
+        values = np.floor(255 * rng.random((60, 80)) ** 2) * (rng.random((60, 80)) < 0.6)
+        return DataMatrix(values, scale="raw255")
+
+    @pytest.mark.parametrize("rank", [5, 12])
+    def test_kl_graded_matches_reference(self, rank):
+        # The KL sweep divides only on the support of P; off it the ratio
+        # buffer stays 0, which is what P / max(BW, floor) gives there.
+        self.assert_matches_reference(self.graded_matrix(), rank, "kl", seed=rank)
+
+    def test_kl_fortran_ordered_matches_reference(self):
+        m = DataMatrix(np.asfortranarray(self.graded_matrix().values), scale="raw255")
+        assert not m.values.flags.c_contiguous
+        self.assert_matches_reference(m, 5, "kl", seed=0)
+
+    def test_kl_zero_rows_columns_and_tiny_entries_match_reference(self):
+        # All-zero rows and columns leave parts of the ratio buffer never
+        # written; entries near 1e-14 push BW on the support below the floor.
+        rng = np.random.default_rng(11)
+        values = rng.random((40, 50)) * (rng.random((40, 50)) < 0.5)
+        values[[3, 17], :] = 0.0
+        values[:, [0, 9, 33]] = 0.0
+        values[25] *= 1e-14
+        self.assert_matches_reference(DataMatrix(values), 6, "kl", seed=0)
+
+    def test_frobenius_trace_independent_of_blas_threads(self):
+        # The Gram-form loss is summed by numpy, not by a BLAS dot, whose
+        # bits depend on the thread count; at rank 60 they did.
+        script = ("import hashlib; from pccnmf import SolverOptions, factorize, generate_swimmer;"
+                  "f = factorize(generate_swimmer(), 60, seed=0,"
+                  " opts=SolverOptions(max_iters=300, rel_tol=1e-12));"
+                  "print(len(f.trace), hashlib.sha256(f.trace.tobytes()).hexdigest(),"
+                  " hashlib.sha256(f.basis.tobytes() + f.weights.tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0].startswith("301 ")
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
     def test_exact_rank_one_trace_stays_nonnegative(self, rel_tol):

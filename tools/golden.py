@@ -4,10 +4,12 @@
 
 Runs each subcommand of the pccnmf package in the ``src/`` directory next to
 this script, with ``PCCNMF_TIMESTAMP`` and ``PCCNMF_SEED`` pinned, inside
-OUTDIR (which must not exist yet). Every file the commands write, and the
-stdout and stderr of each command, stay in OUTDIR; ``OUTDIR/SHA256SUMS``
-lists their SHA-256 digests in the format of ``sha256sum``. Commands run
-with relative paths, so the outputs do not depend on where OUTDIR is.
+OUTDIR (which must not exist yet). The script first writes ``graded.csv``
+there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
+run on non-binary data. Every file the commands write, and the stdout and
+stderr of each command, stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their
+SHA-256 digests in the format of ``sha256sum``. Commands run with relative
+paths, so the outputs do not depend on where OUTDIR is.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,9 +66,22 @@ COMMANDS = (
                  "--pixel-shape", "13x13"]),
     ("cluster-k3-any", ["cluster", "-i", "swim.csv", "-f", "fac_kl", "-o", "clusters_k3",
                         "--k", "3", "--no-require-positive"]),
+    ("factorize-kl-graded", ["factorize", "-i", "graded.csv", "-o", "fac_kl_graded", "--rank",
+                             "6", "--loss", "kl", "--seed", "2"]),
+    ("rank-scan-dual-kl-threads2", ["--threads", "2", "rank-scan", "-i", "graded.csv", "-o",
+                                    "scan_dual_kl_graded_t2.json", "--r-min", "3", "--r-max",
+                                    "6", "--seeds", "2", "--dual", "--loss", "kl"]),
     ("report", ["report", "-o", "bundle.json", "scan.json", "denoise_svd.json",
                 "stab_seed_60.json"]),
 )
+
+
+def write_graded_csv(path: Path) -> None:
+    """A 48 x 64 matrix of integers in 0..255, about 40 % zeros, from a fixed seed."""
+    rand = random.Random(2024)
+    rows = (",".join(str(rand.randint(1, 255)) if rand.random() < 0.6 else "0"
+                     for _ in range(64)) for _ in range(48))
+    path.write_text("\n".join(rows) + "\n")
 
 
 def main(argv: list[str]) -> int:
@@ -74,6 +90,7 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True)
+    write_graded_csv(out / "graded.csv")
     env = dict(os.environ, **ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     logs = out / "logs"
