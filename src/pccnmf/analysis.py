@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedCorrelationError
 from .probability import PccModel, _entropies
+from .stability import _column_norms, _paired_cosines
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,14 @@ def pearson(x, y) -> float:
         raise ParameterError("inputs must be 1-d vectors of equal length")
     if len(x) < 2:
         raise ParameterError("need at least 2 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = float(np.sqrt(xc @ xc))
-    ny = float(np.sqrt(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
+    return _correlation(x - x.mean(), y - y.mean())
+
+
+def _correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Cosine of two vectors; UndefinedCorrelationError when either is all-zero."""
+    if _column_norms(x) == 0.0 or _column_norms(y) == 0.0:
         raise UndefinedCorrelationError("zero-variance input")
-    return float(xc @ yc) / (nx * ny)
+    return float(_paired_cosines(x, y))
 
 
 @dataclass(frozen=True)
@@ -74,12 +76,7 @@ def anticorrelation_report(pcc: PccModel) -> AnticorrelationReport:
     """
     seqs = error_sequences(pcc)
     r_w = pearson(seqs.eps, seqs.w)
-    eps_centered = seqs.eps - seqs.eps.mean()
-    ne = float(np.sqrt(eps_centered @ eps_centered))
-    nv = float(np.sqrt(seqs.v @ seqs.v))
-    if ne == 0.0 or nv == 0.0:
-        raise UndefinedCorrelationError("zero-variance input")
-    r_v = float(eps_centered @ seqs.v) / (ne * nv)
+    r_v = _correlation(seqs.eps - seqs.eps.mean(), seqs.v)
     return AnticorrelationReport(r_w=r_w, r_v=r_v, length=len(seqs.eps))
 
 
@@ -107,7 +104,7 @@ def hoyer_sparsity(vec) -> float:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1 or len(vec) < 2:
         raise ParameterError("need a 1-d vector of length >= 2")
-    l2 = float(np.sqrt(vec @ vec))
+    l2 = float(_column_norms(vec))
     if l2 == 0.0:
         return 0.0
     l1 = float(np.abs(vec).sum())
@@ -131,8 +128,8 @@ def sparsity_comparison(pcc: PccModel) -> SparsityReport:
     """
     image_entropy = _entropies(pcc.cond_pixel_given_image)
     basis_entropy = _entropies(pcc.cond_pixel_given_basis)
-    lhs = float(pcc.marg_image @ image_entropy)
-    rhs = float(pcc.basis_prior @ basis_entropy)
+    lhs = float((pcc.marg_image * image_entropy).sum())
+    rhs = float((pcc.basis_prior * basis_entropy).sum())
     hoyer_images = float(np.mean([hoyer_sparsity(col) for col in pcc.cond_pixel_given_image.T]))
     hoyer_bases = float(np.mean([hoyer_sparsity(col) for col in pcc.cond_pixel_given_basis.T]))
     return SparsityReport(lhs=lhs, rhs=rhs, hoyer_images=hoyer_images, hoyer_bases=hoyer_bases)

@@ -42,9 +42,9 @@ def _solver_options(args) -> nmf.SolverOptions:
     return nmf.SolverOptions(max_iters=args.max_iters, rel_tol=args.tol)
 
 
-def _add_solver_flags(parser, max_iters=2000, tol=1e-6):
-    parser.add_argument("--max-iters", type=int, default=max_iters)
-    parser.add_argument("--tol", type=float, default=tol)
+def _add_solver_flags(parser):
+    parser.add_argument("--max-iters", type=int, default=nmf.SolverOptions.max_iters)
+    parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol)
 
 
 def _positive_int(arg: str) -> int:

@@ -10,15 +10,14 @@ SVD baseline on the same corrupted input.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, _truncate, factorize
-from .stability import cosine_distance_matrix
+from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, _map_jobs, _truncate, factorize
+from .stability import _paired_cosines, cosine_distance_matrix
 
 
 def denoise_margins(clean: DataMatrix, noisy: DataMatrix, f_noisy: Factorization) -> np.ndarray:
@@ -34,17 +33,8 @@ def denoise_margins(clean: DataMatrix, noisy: DataMatrix, f_noisy: Factorization
     if recon.shape != clean.values.shape:
         raise ParameterError(
             f"shape mismatch: data {clean.values.shape}, reconstruction {recon.shape}")
-
-    def paired_distances(a, b):
-        na = np.sqrt((a * a).sum(axis=0))
-        nb = np.sqrt((b * b).sum(axis=0))
-        dot = (a * b).sum(axis=0)
-        denom = na * nb
-        cos = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
-        return 1.0 - cos
-
-    to_noisy = paired_distances(clean.values, noisy.values)
-    to_recon = paired_distances(clean.values, recon)
+    to_noisy = 1.0 - _paired_cosines(clean.values, noisy.values)
+    to_recon = 1.0 - _paired_cosines(clean.values, recon)
     return to_noisy - to_recon
 
 
@@ -165,11 +155,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclu
         return DenoiseRankEntry(rank=rank, violations=best_violations,
                                 min_margin=best_min_margin, ac_nmf=ac_nmf, ac_svd=ac_svd)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(one, ranks))
-    else:
-        entries = tuple(one(rank) for rank in ranks)
+    entries = _map_jobs(one, ranks, threads)
     qualified = [e.rank for e in entries if e.violations <= exclusions]
     return DenoiseReport(ranks=ranks, entries=entries, exclusions=exclusions,
                          r1=qualified[0] if qualified else None,

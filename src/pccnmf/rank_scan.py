@@ -12,14 +12,14 @@ distance of the basis, the reconstruction error, the relative residual
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DataMatrix
 from .errors import DegenerateInputError, ParameterError
-from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, factorize, frobenius_error
+from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _map_jobs, factorize,
+                  frobenius_error)
 from .probability import PccModel, derive_pcc
 from .stability import cosine_distance_matrix
 
@@ -32,23 +32,25 @@ _REL_GUARD = 1e-9
 _ABS_GUARD = 1e-9
 
 
-def predictability_fraction(pcc: PccModel, rtol: float = _REL_GUARD,
-                            atol: float = _ABS_GUARD) -> float:
+def _bracketed(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo <= values <= hi, each side relaxed by the comparison guard."""
+    return ((values >= lo * (1.0 - _REL_GUARD) - _ABS_GUARD)
+            & (values <= hi * (1.0 + _REL_GUARD) + _ABS_GUARD))
+
+
+def predictability_fraction(pcc: PccModel) -> float:
     """Fraction of (pixel, image) pairs bracketed by the component conditionals.
 
     A pair is valid when min_b p(pixel|b) <= p(pixel|image) <= max_b
-    p(pixel|b), with non-strict comparisons relaxed by ``rtol``/``atol``.
+    p(pixel|b), with non-strict comparisons relaxed by the comparison guard.
     Returns exactly 1.0 for a model whose mixture reproduces the joint.
     """
     lo = pcc.cond_pixel_given_basis.min(axis=1)[:, None]
     hi = pcc.cond_pixel_given_basis.max(axis=1)[:, None]
-    w = pcc.cond_pixel_given_image
-    valid = (w >= lo * (1.0 - rtol) - atol) & (w <= hi * (1.0 + rtol) + atol)
-    return float(valid.mean())
+    return float(_bracketed(pcc.cond_pixel_given_image, lo, hi).mean())
 
 
-def dual_predictability_fraction(m: DataMatrix, pcc: PccModel, rtol: float = _REL_GUARD,
-                                 atol: float = _ABS_GUARD) -> float:
+def dual_predictability_fraction(m: DataMatrix, pcc: PccModel) -> float:
     """Bracketing fraction with the roles of pixels and images swapped.
 
     Compares p(image|pixel) against the span of p(image|b). Pixels that never
@@ -67,9 +69,7 @@ def dual_predictability_fraction(m: DataMatrix, pcc: PccModel, rtol: float = _RE
         raise DegenerateInputError("no component has positive prior")
     lo = components.min(axis=0)[None, :]
     hi = components.max(axis=0)[None, :]
-    valid = ((p_image_given_pixel >= lo * (1.0 - rtol) - atol)
-             & (p_image_given_pixel <= hi * (1.0 + rtol) + atol))
-    return float(valid.mean())
+    return float(_bracketed(p_image_given_pixel, lo, hi).mean())
 
 
 def mean_internal_distance(f: Factorization) -> float:
@@ -214,12 +214,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
             bic3=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic3"),
         )
 
-    jobs = [(rank, seed) for rank in ranks for seed in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(one, jobs))
-    else:
-        entries = tuple(one(job) for job in jobs)
+    entries = _map_jobs(one, [(rank, seed) for rank in ranks for seed in seeds], threads)
 
     median_invalid = tuple(
         float(np.median([1.0 - e.valid_fraction for e in entries if e.rank == rank]))

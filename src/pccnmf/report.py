@@ -41,13 +41,11 @@ class RunReport:
     outputs: dict
     started: str = field(default_factory=timestamp)
     finished: str = field(default_factory=timestamp)
-    schema: int = SCHEMA_VERSION
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
-            "version": self.version,
+            "schema": SCHEMA_VERSION,
+            "version": __version__,
             "command": self.command,
             "parameters": self.parameters,
             "seeds": list(self.seeds),

@@ -19,17 +19,32 @@ from .nmf import LOSS_FROBENIUS, SolverOptions, factorize
 from .report import RunReport, matrix_digest, timestamp
 
 
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of ``a`` (of ``a`` itself when 1-d)."""
+    return np.sqrt((a * a).sum(axis=0))
+
+
+def _cosines(dot: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
+    """dot / (norm_a * norm_b), 0 where that product is 0 (an all-zero column).
+    The quotient overwrites the product, so no third full-size array is held."""
+    denom = np.asarray(norm_a * norm_b)
+    return np.divide(dot, denom, out=denom, where=denom > 0)
+
+
+def _paired_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each column pair (a[:, j], b[:, j]), or of two 1-d vectors; 0 where
+    either is all-zero. Numpy sums, never BLAS dots, whose bits vary with the BLAS
+    thread count."""
+    return _cosines((a * b).sum(axis=0), _column_norms(a), _column_norms(b))
+
+
 def cosine_distance(v1, v2) -> float:
     """1 - cos(v1, v2), with distance 1 when either vector is all-zero."""
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     if v1.shape != v2.shape:
         raise ParameterError(f"length mismatch: {v1.shape} vs {v2.shape}")
-    n1 = float(v1 @ v1)
-    n2 = float(v2 @ v2)
-    if n1 == 0.0 or n2 == 0.0:
-        return 1.0
-    return 1.0 - float(v1 @ v2) / np.sqrt(n1 * n2)
+    return 1.0 - float(_paired_cosines(v1, v2))
 
 
 def cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,12 +57,7 @@ def cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise ParameterError(f"column length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = np.sqrt((a * a).sum(axis=0))
-    nb = np.sqrt((b * b).sum(axis=0))
-    cos = (a.T @ b) / np.outer(np.where(na == 0, 1.0, na), np.where(nb == 0, 1.0, nb))
-    cos[na == 0, :] = 0.0
-    cos[:, nb == 0] = 0.0
-    return 1.0 - cos
+    return 1.0 - _cosines(a.T @ b, _column_norms(a)[:, None], _column_norms(b)[None, :])
 
 
 def _hungarian(cost) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,3 +225,26 @@ class TestSparsityComparison:
         assert rep.lhs > rep.rhs
         # Hoyer cross-check orders the other way: sparser basis, higher Hoyer.
         assert rep.hoyer_bases > rep.hoyer_images
+
+
+class TestBlasThreadInvariance:
+    def test_reports_equal_at_one_and_two_blas_threads(self):
+        # Every vector reduction must be a numpy sum: a BLAS dot's bits
+        # depend on the thread count, and so would r_w, r_v and the cosines.
+        script = (
+            "import numpy as np; from pccnmf import *;"
+            "m = apply_flip_noise(generate_swimmer(), 0.05, seed=3);"
+            "pcc = derive_pcc(m, factorize(m, 17, seed=0, opts=SolverOptions(max_iters=60)));"
+            "x, y = np.random.default_rng(0).random((2, 20000));"
+            "print(repr(anticorrelation_report(pcc)), repr(sparsity_comparison(pcc)),"
+            " repr(pearson(x, y)), repr(cosine_distance(x, y)), repr(hoyer_sparsity(x)))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            outputs.append(done.stdout)
+        assert "length=43264" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -9,7 +9,11 @@ there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
 run on non-binary data. Every file the commands write, and the stdout and
 stderr of each command, stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their
 SHA-256 digests in the format of ``sha256sum``. Commands run with relative
-paths, so the outputs do not depend on where OUTDIR is.
+paths, so the outputs do not depend on where OUTDIR is. The
+``analyze --export-pcc`` command runs twice more with ``OPENBLAS_NUM_THREADS``
+pinned at 1 and at 2; equal digests for ``analysis_blas1.json`` and
+``analysis_blas2.json`` (and for ``pcc_blas1/`` and ``pcc_blas2/``) show that
+the analysis does not depend on the BLAS thread count.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -28,7 +32,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 ENV = {"PCCNMF_TIMESTAMP": "2000-01-01T00:00:00Z", "PCCNMF_SEED": "5"}
 
-# (name, arguments). Later commands read what earlier ones wrote.
+# (name, arguments) or (name, arguments, extra environment). Later commands
+# read what earlier ones wrote.
 COMMANDS = (
     ("swimmer-gen", ["swimmer-gen", "-o", "swim.csv"]),
     ("perturb-seed", ["perturb", "-i", "swim.csv", "-o", "noisy.csv", "--xi", "0.05",
@@ -62,6 +67,12 @@ COMMANDS = (
     ("analyze-export-pcc", ["analyze", "-i", "noisy.csv", "-f", "fac_frob", "-o",
                             "analysis.json", "--export-pcc", "pcc"]),
     ("analyze-kl", ["analyze", "-i", "noisy.csv", "-f", "fac_kl", "-o", "analysis_kl.json"]),
+    ("analyze-export-pcc-blas1", ["analyze", "-i", "noisy.csv", "-f", "fac_frob", "-o",
+                                  "analysis_blas1.json", "--export-pcc", "pcc_blas1"],
+     {"OPENBLAS_NUM_THREADS": "1"}),
+    ("analyze-export-pcc-blas2", ["analyze", "-i", "noisy.csv", "-f", "fac_frob", "-o",
+                                  "analysis_blas2.json", "--export-pcc", "pcc_blas2"],
+     {"OPENBLAS_NUM_THREADS": "2"}),
     ("cluster", ["cluster", "-i", "swim.csv", "-f", "fac_frob", "-o", "clusters",
                  "--pixel-shape", "13x13"]),
     ("cluster-k3-any", ["cluster", "-i", "swim.csv", "-f", "fac_kl", "-o", "clusters_k3",
@@ -95,9 +106,10 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     logs = out / "logs"
     logs.mkdir()
-    for name, args in COMMANDS:
+    for name, args, *extra in COMMANDS:
         print(f"golden: {name}", file=sys.stderr, flush=True)
-        done = subprocess.run([sys.executable, "-m", "pccnmf.cli", *args], cwd=out, env=env,
+        done = subprocess.run([sys.executable, "-m", "pccnmf.cli", *args], cwd=out,
+                              env=dict(env, **extra[0]) if extra else env,
                               capture_output=True, text=True)
         (logs / f"{name}.stdout").write_text(done.stdout)
         (logs / f"{name}.stderr").write_text(done.stderr)
