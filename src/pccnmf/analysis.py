@@ -104,9 +104,13 @@ def hoyer_sparsity(vec) -> float:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1 or len(vec) < 2:
         raise ParameterError("need a 1-d vector of length >= 2")
-    l2 = float(_column_norms(vec))
-    if l2 == 0.0:
+    peak = float(np.abs(vec).max())
+    if peak == 0.0:
         return 0.0
+    # L1/L2 is scale-free. Scaling by the power of two that puts the peak in
+    # [0.5, 1) is exact, and keeps the squares of tiny entries from underflowing.
+    vec = np.ldexp(vec, -np.frexp(peak)[1])
+    l2 = float(_column_norms(vec))
     l1 = float(np.abs(vec).sum())
     root_n = np.sqrt(len(vec))
     return (root_n - l1 / l2) / (root_n - 1.0)

@@ -13,6 +13,11 @@ weights update has already formed, ||P||^2 - <W, 2 B^T P - (B^T B) W>. Near an
 exact fit that difference loses digits, so below a guard (``_GRAM_GUARD``)
 the sweep takes the direct sum instead. The Gram form and ||P||^2 are summed
 by numpy, not by a BLAS dot, whose bits vary with the BLAS thread count.
+The two products with the data, P W^T and B^T P, run on the lit rows of P
+only, the pixels nonzero in some image; P W^T is 0 on the dark rows, as the
+dense product gives, so the basis update floors them. When every row is lit,
+P is used as it is. A product over fewer rows may take another BLAS kernel,
+so factors can differ from the dense update in the last bits.
 
 The KL update needs P / max(B W, floor), which is 0 wherever P is 0. So the
 flat indices of the support of P, P on them and the sum of P are computed once
@@ -65,8 +70,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ParameterError("rel_tol must be > 0")
+        if not 0 < self.rel_tol < np.inf:
+            raise ParameterError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,13 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
     if loss == LOSS_FROBENIUS:
         norm_sq = float(np.sum(data * data))
         trace = [_squared_error(data, basis @ weights)]
+        # A pixel dark in every image adds nothing to P W^T or B^T P. Its row
+        # of P W^T is never written and stays 0, as in the dense product.
+        lit = np.flatnonzero(data.any(axis=1))
+        sparse = len(lit) < n_pixels
+        if sparse:
+            data_lit = data[lit]
+            data_weights = np.zeros((n_pixels, rank))
     else:
         data_terms = _kl_data_terms(data)
         support, data_pos, _ = data_terms
@@ -165,10 +177,13 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
     converged = False
     for _ in range(opts.max_iters):
         if loss == LOSS_FROBENIUS:
-            numer = data @ weights.T
+            if sparse:
+                data_weights[lit] = data_lit @ weights.T
+            else:
+                data_weights = data @ weights.T
             denom = basis @ (weights @ weights.T)
-            basis = np.maximum(basis * numer / np.maximum(denom, _FLOOR), _FLOOR)
-            numer = basis.T @ data
+            basis = np.maximum(basis * data_weights / np.maximum(denom, _FLOOR), _FLOOR)
+            numer = basis[lit].T @ data_lit if sparse else basis.T @ data
             basis_gram = basis.T @ basis
             denom = basis_gram @ weights
             weights = np.maximum(weights * numer / np.maximum(denom, _FLOOR), _FLOOR)

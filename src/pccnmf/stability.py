@@ -42,6 +42,8 @@ def cosine_distance(v1, v2) -> float:
     """1 - cos(v1, v2), with distance 1 when either vector is all-zero."""
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
+    if v1.ndim != 1 or v2.ndim != 1:
+        raise ParameterError(f"inputs must be 1-d vectors, got shapes {v1.shape} and {v2.shape}")
     if v1.shape != v2.shape:
         raise ParameterError(f"length mismatch: {v1.shape} vs {v2.shape}")
     return 1.0 - float(_paired_cosines(v1, v2))

@@ -203,6 +203,13 @@ class TestHoyer:
     def test_uniform(self):
         assert hoyer_sparsity(np.full(9, 0.25)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_tiny_entries(self):
+        # Squares of entries near 1e-162 underflow; the measure is scale-free.
+        assert hoyer_sparsity(np.array([0.0, 3.6069557094786754e-162])) == 1.0
+        assert hoyer_sparsity(np.full(9, 1e-170)) == pytest.approx(0.0, abs=1e-12)
+        assert hoyer_sparsity(np.array([0.0, 2.0, 1.0]) * 1e-200) == pytest.approx(
+            hoyer_sparsity(np.array([0.0, 2.0, 1.0])), rel=1e-12)
+
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_bounded(self, xs):

@@ -32,6 +32,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_1(self, tmp_path, capsys, tol):
+        # With --tol inf the first sweep used to count as converged.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("1,0\n0,1\n")
+        out = tmp_path / "f"
+        code = run(["factorize", "-i", str(matrix), "-o", str(out), "--rank", "1",
+                    "--tol", tol])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (out / "meta.json").exists()
+
     def test_threads_below_one_is_2(self):
         with pytest.raises(SystemExit) as exc:
             run(["--threads", "0", "swimmer-gen", "-o", "unused.csv"])

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, DegenerateInputError, Factorization, ParameterError,
-                    SolverOptions, factorize, frobenius_error, gauge_transform,
-                    kl_divergence, load_factorization, rrssq, save_factorization,
-                    truncated_svd)
+                    SolverOptions, apply_flip_noise, factorize, frobenius_error,
+                    gauge_transform, kl_divergence, load_factorization, rrssq,
+                    save_factorization, truncated_svd)
+from pccnmf.nmf import _FLOOR
 from conftest import random_mixture
 
 
@@ -35,13 +36,19 @@ def kl_oracle(data, recon):
     return total
 
 
-def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None):
+def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=True):
     """Reference for factorize: the same multiplicative updates, with the loss
     recomputed from a full reconstruction after every sweep. Returns
-    (basis, weights, trace, converged)."""
+    (basis, weights, trace, converged).
+
+    With ``lit_rows`` the Frobenius products P W^T and B^T P run on the rows of
+    P that are nonzero somewhere, always gathered, and P W^T is 0 on the other
+    rows, as in factorize. Without it, both products run on the whole of P, as
+    the dense loop did."""
     opts = opts or SolverOptions()
     data = m.values
     floor = 1e-12
+    lit = np.flatnonzero(data.any(axis=1))
     rng = np.random.default_rng(seed)
     amplitude = np.sqrt(data.mean() / rank)
     basis = (1.0 - rng.random((data.shape[0], rank))) * amplitude
@@ -59,7 +66,15 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None):
     trace = [loss_value(basis @ weights)]
     converged = False
     for _ in range(opts.max_iters):
-        if loss == "frobenius":
+        if loss == "frobenius" and lit_rows:
+            numer = np.zeros(basis.shape)
+            numer[lit] = data[lit] @ weights.T
+            denom = basis @ (weights @ weights.T)
+            basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
+            numer = basis[lit].T @ data[lit]
+            denom = (basis.T @ basis) @ weights
+            weights = np.maximum(weights * numer / np.maximum(denom, floor), floor)
+        elif loss == "frobenius":
             numer = data @ weights.T
             denom = basis @ (weights @ weights.T)
             basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
@@ -192,6 +207,9 @@ class TestFactorize:
             SolverOptions(max_iters=0)
         with pytest.raises(ParameterError):
             SolverOptions(rel_tol=0.0)
+        for rel_tol in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ParameterError):
+                SolverOptions(rel_tol=rel_tol)
 
 
 class TestLossTrace:
@@ -279,6 +297,44 @@ class TestLossTrace:
             outputs.append(done.stdout)
         assert outputs[0].startswith("301 ")
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("rank", [9, 17])
+    def test_lit_rows_agree_with_dense_loop(self, swimmer, rank):
+        # 105 of the Swimmer's 169 pixel rows are dark. Dropping them changes
+        # the BLAS kernel of the two data products and so the last bits, but
+        # not the stopping sweep.
+        assert np.count_nonzero(swimmer.values.any(axis=1)) == 64
+        f = factorize(swimmer, rank, seed=0)
+        basis, weights, trace, converged = reference_factorize(swimmer, rank, seed=0,
+                                                               lit_rows=False)
+        assert (len(f.trace), f.converged) == (len(trace), converged)
+        np.testing.assert_allclose(f.basis, basis, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(f.weights, weights, rtol=1e-10, atol=0)
+
+    def test_without_dark_rows_equals_dense_loop(self, swimmer):
+        # With every pixel row lit, factorize uses P as it is.
+        noisy = apply_flip_noise(swimmer, 0.05, seed=12)
+        mixture = random_mixture(np.random.default_rng(5), 30, 40, 4)[0]
+        for m, rank in ((mixture, 4), (noisy, 9)):
+            assert m.values.any(axis=1).all()
+            f = factorize(m, rank, seed=2)
+            basis, weights, trace, converged = reference_factorize(m, rank, seed=2,
+                                                                   lit_rows=False)
+            assert np.array_equal(f.basis, basis)
+            assert np.array_equal(f.weights, weights)
+            assert (len(f.trace), f.converged) == (len(trace), converged)
+            assert f.trace[-1] == trace[-1]
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 50])
+    def test_dark_basis_rows_equal_floor(self, max_iters):
+        # P W^T is 0 on a dark row, so the basis update floors the row.
+        rng = np.random.default_rng(13)
+        values = rng.random((30, 40))
+        dark = [0, 4, 5, 29]
+        values[dark] = 0.0
+        f = factorize(DataMatrix(values), 5, seed=1,
+                      opts=SolverOptions(max_iters=max_iters, rel_tol=1e-12))
+        assert np.all(f.basis[dark] == _FLOOR)
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
     def test_exact_rank_one_trace_stays_nonnegative(self, rel_tol):

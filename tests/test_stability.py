@@ -91,6 +91,11 @@ class TestCosineDistance:
         with pytest.raises(ParameterError):
             cosine_distance([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (1, 1), ()])
+    def test_not_one_dimensional(self, shape):
+        with pytest.raises(ParameterError):
+            cosine_distance(np.ones(shape), np.ones(shape))
+
     def test_matrix_agrees_with_scalar(self, rng):
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal((5, 4))

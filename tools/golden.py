@@ -17,11 +17,23 @@ the analysis does not depend on the BLAS thread count.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
+
+    python3 tools/golden.py --compare DIR_A DIR_B
+
+compares two such output directories file by file, for changes that move
+float bits on purpose. A file passes when its bytes are equal, or when it is
+JSON or CSV whose values are equal except for floats that agree within
+``FLOAT_REL_TOL`` relative. ``SHA256SUMS`` is skipped. Each file that is not
+byte-identical is printed with its largest relative float change; the exit
+status is 1 when a file is missing on one side or differs in any other way.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
+import math
 import os
 import random
 import subprocess
@@ -95,9 +107,119 @@ def write_graded_csv(path: Path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
+# Largest relative change a float may show under --compare.
+FLOAT_REL_TOL = 1e-11
+
+
+def _float_change(a: float, b: float) -> float:
+    """Relative change from a to b; 0 when equal (NaN equals NaN), inf for a sign
+    or infinity mismatch."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _json_change(a, b) -> float:
+    """Largest relative float change between two parsed JSON values; inf when
+    any other value, type or structure differs."""
+    if type(a) is not type(b):
+        return math.inf
+    if isinstance(a, float):
+        return _float_change(a, b)
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((_json_change(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((_json_change(x, y) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
+def _csv_cell(text: str):
+    """An int, a float or the text itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _csv_change(text_a: str, text_b: str) -> float:
+    """Largest relative float change between two CSV texts; inf when the shape or
+    a non-float cell differs. A cell that reads as an int on both sides must
+    be equal; ``%.17g`` writes an integral float without a point."""
+    rows_a = list(csv.reader(text_a.splitlines()))
+    rows_b = list(csv.reader(text_b.splitlines()))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for a, b in zip(map(_csv_cell, row_a), map(_csv_cell, row_b)):
+            if isinstance(a, str) or isinstance(b, str) or type(a) is type(b) is int:
+                change = 0.0 if a == b else math.inf
+            else:
+                change = _float_change(float(a), float(b))
+            worst = max(worst, change)
+    return worst
+
+
+def _file_change(path_a: Path, path_b: Path) -> float | None:
+    """None when the bytes are equal, else the largest relative float change
+    (inf when the difference is not a float within a JSON or CSV file)."""
+    data_a, data_b = path_a.read_bytes(), path_b.read_bytes()
+    if data_a == data_b:
+        return None
+    try:
+        text_a, text_b = data_a.decode(), data_b.decode()
+        if path_a.suffix == ".json":
+            return _json_change(json.loads(text_a), json.loads(text_b))
+        if path_a.suffix == ".csv":
+            return _csv_change(text_a, text_b)
+    except (UnicodeDecodeError, ValueError):
+        pass
+    return math.inf
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print how the files of two output directories differ; 0 when all pass."""
+    files = [{p.relative_to(d).as_posix() for p in d.rglob("*")
+              if p.is_file() and p.name != "SHA256SUMS"} for d in (dir_a, dir_b)]
+    failed = 0
+    for name in sorted(files[0] ^ files[1]):
+        print(f"missing in {dir_b if name in files[0] else dir_a}: {name}")
+        failed += 1
+    moved = 0
+    for name in sorted(files[0] & files[1]):
+        change = _file_change(dir_a / name, dir_b / name)
+        if change is None:
+            continue
+        moved += 1
+        passed = change <= FLOAT_REL_TOL
+        failed += not passed
+        shown = "not a float change" if change == math.inf else f"max relative change {change:.3g}"
+        print(f"{'moved' if passed else 'DIFFERS'}: {name}: {shown}")
+    common = len(files[0] & files[1])
+    print(f"golden: {common} common files, {common - moved} byte-identical, {moved} differing, "
+          f"{failed} failing (float tolerance {FLOAT_REL_TOL:g} relative)", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        dirs = [Path(arg) for arg in argv[1:]]
+        for d in dirs:
+            if not d.is_dir():
+                print(f"golden: {d} is not a directory", file=sys.stderr)
+                return 2
+        return compare(*dirs)
     if len(argv) != 1:
-        print("usage: python3 tools/golden.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/golden.py OUTDIR\n"
+              "       python3 tools/golden.py --compare DIR_A DIR_B", file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True)
