@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedCorrelationError
 from .probability import PccModel, _entropies
-from .stability import _column_norms, _paired_cosines
+from .stability import _column_norms, _paired_cosines, _peak_scaled
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def pearson(x, y) -> float:
 
 def _correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine of two vectors; UndefinedCorrelationError when either is all-zero."""
-    if _column_norms(x) == 0.0 or _column_norms(y) == 0.0:
+    if not x.any() or not y.any():
         raise UndefinedCorrelationError("zero-variance input")
     return float(_paired_cosines(x, y))
 
@@ -104,12 +104,10 @@ def hoyer_sparsity(vec) -> float:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.ndim != 1 or len(vec) < 2:
         raise ParameterError("need a 1-d vector of length >= 2")
-    peak = float(np.abs(vec).max())
-    if peak == 0.0:
+    if not vec.any():
         return 0.0
-    # L1/L2 is scale-free. Scaling by the power of two that puts the peak in
-    # [0.5, 1) is exact, and keeps the squares of tiny entries from underflowing.
-    vec = np.ldexp(vec, -np.frexp(peak)[1])
+    # L1/L2 is scale-free, and the exact scaling keeps tiny squares from underflowing.
+    vec = _peak_scaled(vec)
     l2 = float(_column_norms(vec))
     l1 = float(np.abs(vec).sum())
     root_n = np.sqrt(len(vec))

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, clustering, dataset, denoising, nmf, probability, rank_scan, stability
-from .errors import Error, ParameterError
+from .errors import Error, FormatError, ParameterError
 from .report import RunReport, matrix_digest, timestamp
 
 
@@ -29,13 +29,6 @@ def _default_seed() -> int:
 
 def _seed_list(count: int, base: int) -> list[int]:
     return [base + k for k in range(count)]
-
-
-def _load(path) -> dataset.DataMatrix:
-    path = Path(path)
-    if path.is_dir():
-        return dataset.load_matrix(path, format="pgm_dir")
-    return dataset.load_matrix(path, format="csv")
 
 
 def _solver_options(args) -> nmf.SolverOptions:
@@ -74,7 +67,7 @@ def cmd_swimmer_gen(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     if m.scale == dataset.SCALE_RAW255:
         m = dataset.rescale(m)
     xi = None
@@ -90,7 +83,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     seed = args.seed if args.seed is not None else _default_seed()
     f = nmf.factorize(m, args.rank, args.loss, seed, _solver_options(args))
     nmf.save_factorization(f, args.output)
@@ -98,7 +91,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_rank_scan(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     tau = args.tau
     if tau is None:
         tau = 1.0 / (m.n_pixels * m.n_images)
@@ -122,7 +115,7 @@ def cmd_rank_scan(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     mode = args.mode.replace("-", "_")
     matching, run = stability.stability_experiment(
         m, rank=args.rank, mode=mode, xi=args.xi, seed_a=args.seed_a, seed_b=args.seed_b,
@@ -135,7 +128,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     f = nmf.load_factorization(args.factorization)
     pcc = probability.derive_pcc(m, f)
     if args.export_pcc:
@@ -166,7 +159,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    m = _load(args.input)
+    m = dataset.load_matrix(args.input)
     if m.pixel_shape is None and args.pixel_shape:
         m = dataset.DataMatrix(m.values, _pixel_shape(args.pixel_shape), m.scale)
     f = nmf.load_factorization(args.factorization)
@@ -181,7 +174,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    clean = _load(args.input)
+    clean = dataset.load_matrix(args.input)
     if clean.scale == dataset.SCALE_RAW255:
         clean = dataset.rescale(clean)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -221,10 +214,12 @@ def cmd_report(args) -> int:
     bundle = {"schema": 1, "command": "report", "inputs": {}}
     for name in args.files:
         path = Path(name)
-        if path.suffix == ".json":
-            bundle["inputs"][path.name] = json.loads(path.read_text())
-        else:
-            bundle["inputs"][path.name] = path.read_text().splitlines()
+        try:
+            text = path.read_text(encoding="utf-8")
+            bundle["inputs"][path.name] = (json.loads(text) if path.suffix == ".json"
+                                           else text.splitlines())
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise FormatError(f"{path}: unreadable: {exc}") from None
     Path(args.output).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     return 0
 

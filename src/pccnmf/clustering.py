@@ -34,6 +34,14 @@ class Cluster:
     prior: float
     members: tuple
 
+    def to_dict(self) -> dict:
+        return {
+            "basis": self.basis,
+            "prior": self.prior,
+            "members": [{"image": m.image, "p_image_given_basis": m.p_image_given_basis,
+                         "p_image": m.p_image} for m in self.members],
+        }
+
 
 @dataclass(frozen=True)
 class ClusterReport:
@@ -45,18 +53,7 @@ class ClusterReport:
         return {
             "k": self.k,
             "require_positive": self.require_positive,
-            "clusters": [
-                {
-                    "basis": c.basis,
-                    "prior": c.prior,
-                    "members": [
-                        {"image": m.image, "p_image_given_basis": m.p_image_given_basis,
-                         "p_image": m.p_image}
-                        for m in c.members
-                    ],
-                }
-                for c in self.clusters
-            ],
+            "clusters": [c.to_dict() for c in self.clusters],
         }
 
 
@@ -120,14 +117,8 @@ def export_cluster_montage(report: ClusterReport, m: DataMatrix, f: Factorizatio
             panels.append(_to_gray(m.values[:, member.image], full_scale))
         strip = np.hstack([p.reshape(height, width) for p in panels])
         strip_path = out / f"cluster_{position:02d}_basis_{cluster.basis:02d}.pgm"
-        write_pgm(strip_path, strip, maxval=255)
+        write_pgm(strip_path, strip)
         written.append(strip_path)
-        index.append({
-            "file": strip_path.name,
-            "basis": cluster.basis,
-            "prior": cluster.prior,
-            "members": [{"image": mem.image, "p_image_given_basis": mem.p_image_given_basis,
-                         "p_image": mem.p_image} for mem in cluster.members],
-        })
+        index.append({"file": strip_path.name, **cluster.to_dict()})
     (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
     return written

@@ -132,46 +132,21 @@ def generate_swimmer() -> DataMatrix:
     return DataMatrix(values, pixel_shape=(_SIDE, _SIDE), scale=SCALE_UNIT)
 
 
-def load_matrix(path, format: str = "csv") -> DataMatrix:
-    """Load a pixels-by-images matrix from a headerless CSV file or a PGM directory.
+def load_matrix(path) -> DataMatrix:
+    """Load a pixels-by-images matrix: a directory as PGM, any other path as CSV.
 
-    CSV: one row per pixel, comma-separated. PGM directory: every ``*.pgm``
-    file (P2 or P5), sorted by filename, flattened row-major into one column.
-    The scale is inferred: ``raw255`` if any entry exceeds 1, else ``unit``.
+    CSV: headerless UTF-8, one row per pixel, comma-separated. PGM directory:
+    every ``*.pgm`` file (P2 or P5), sorted by filename, flattened row-major
+    into one column. The scale is inferred: ``raw255`` if any entry exceeds 1,
+    else ``unit``.
     """
     path = Path(path)
-    if format == "csv":
-        return _load_csv(path)
-    if format == "pgm_dir":
+    if path.is_dir():
         return _load_pgm_dir(path)
-    raise ParameterError(f"unknown format {format!r} (want 'csv' or 'pgm_dir')")
-
-
-def _load_csv(path: Path) -> DataMatrix:
-    lines = path.read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    rows = []
-    width = None
-    for r, line in enumerate(lines):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise FormatError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
-        row = []
-        for c, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise FormatError(f"{path}: row {r}, column {c}: not a number: {cell!r}") from None
-            if value < 0:
-                raise FormatError(f"{path}: row {r}, column {c}: negative entry {value:g}")
-            row.append(value)
-        rows.append(row)
-    values = np.array(rows, dtype=np.float64)
+    values = read_rows(path)
+    if np.any(values < 0):
+        r, c = np.argwhere(values < 0)[0]
+        raise FormatError(f"{path}: row {r}, column {c}: negative entry {values[r, c]:g}")
     scale = SCALE_RAW255 if np.any(values > 1.0) else SCALE_UNIT
     return DataMatrix(values, pixel_shape=None, scale=scale)
 
@@ -183,7 +158,7 @@ def _load_pgm_dir(path: Path) -> DataMatrix:
     columns = []
     shape = None
     for f in files:
-        image, _ = read_pgm(f)
+        image = read_pgm(f)
         if shape is None:
             shape = image.shape
         elif image.shape != shape:
@@ -192,6 +167,42 @@ def _load_pgm_dir(path: Path) -> DataMatrix:
     values = np.column_stack(columns)
     scale = SCALE_RAW255 if np.any(values > 1.0) else SCALE_UNIT
     return DataMatrix(values, pixel_shape=shape, scale=scale)
+
+
+def read_rows(path) -> np.ndarray:
+    """Read headerless comma-separated UTF-8 rows as a 2-d float array.
+
+    The mirror of :func:`write_rows`. Every cell parses as ``float()`` does;
+    trailing blank lines are ignored. An empty file, a row whose width differs
+    from the first, or a cell that is not a number raises FormatError naming
+    the 0-based row (and column).
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise FormatError(f"{path}: empty file")
+    rows = [line.split(",") for line in lines]
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        # Error path only: rescan for the first ragged row or cell that is not a number.
+        width = len(rows[0])
+        for r, cells in enumerate(rows):
+            if len(cells) != width:
+                raise FormatError(
+                    f"{path}: row {r} has {len(cells)} columns, expected {width}") from None
+            for c, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: row {r}, column {c}: not a number: {cell!r}") from None
+        raise
 
 
 def write_rows(path, rows, header=None) -> None:

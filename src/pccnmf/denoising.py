@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, _map_jobs, _truncate, factorize
+from .nmf import Factorization, SolverOptions, _map_jobs, _truncate, factorize
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
@@ -117,9 +117,10 @@ class DenoiseReport:
         return out
 
 
-def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclusions: int,
+def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions: int,
            xi, with_ac: bool, threads: int) -> DenoiseReport:
-    """Factorize ``noisy`` once per (rank, seed) and build the report from those runs."""
+    """Factorize ``noisy`` (Frobenius loss) once per (rank, seed) and build the report
+    from those runs."""
     ranks = tuple(ranks)
     seeds = tuple(seeds)
     if not ranks:
@@ -140,7 +141,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclu
         best_loss = np.inf
         best_recon = None
         for seed in seeds:
-            f = factorize(noisy, rank, loss, seed, opts)
+            f = factorize(noisy, rank, seed=seed, opts=opts)
             margins = denoise_margins(clean, noisy, f)
             violations = int((margins <= 0).sum())
             if best_violations is None or violations < best_violations:
@@ -165,8 +166,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, loss, exclu
 
 def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
                  exclusions: int = 2, seeds=(0,), opts: SolverOptions | None = None,
-                 loss: str = LOSS_FROBENIUS, xi: float | None = None,
-                 threads: int = 1) -> DenoiseReport:
+                 xi: float | None = None, threads: int = 1) -> DenoiseReport:
     """Scan ranks [r_lo, r_hi]; a rank qualifies when at most ``exclusions``
     images have non-positive margin (best seed counts).
 
@@ -177,16 +177,15 @@ def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
         raise ParameterError("r_lo must be >= 1")
     if r_hi < r_lo:
         raise ParameterError("r_hi must be >= r_lo")
-    return _sweep(clean, noisy, range(r_lo, r_hi + 1), seeds, opts, loss, exclusions, xi,
+    return _sweep(clean, noisy, range(r_lo, r_hi + 1), seeds, opts, exclusions, xi,
                   with_ac=False, threads=threads)
 
 
 def compare_with_svd(clean: DataMatrix, distorted: DataMatrix, r_values, seeds=(0,),
-                     opts: SolverOptions | None = None, loss: str = LOSS_FROBENIUS,
-                     exclusions: int = 2, xi: float | None = None,
-                     threads: int = 1) -> DenoiseReport:
+                     opts: SolverOptions | None = None, exclusions: int = 2,
+                     xi: float | None = None, threads: int = 1) -> DenoiseReport:
     """The :func:`find_r_range` report over ``r_values``, plus nearest-neighbor
     accuracy curves for the factorization (best-of-seeds) and the truncated-SVD
     baseline on the same distorted input."""
-    return _sweep(clean, distorted, r_values, seeds, opts, loss, exclusions, xi,
+    return _sweep(clean, distorted, r_values, seeds, opts, exclusions, xi,
                   with_ac=True, threads=threads)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix, write_rows
+from .dataset import DataMatrix, read_rows, write_rows
 from .errors import DegenerateInputError, FormatError, ParameterError
 
 LOSS_FROBENIUS = "frobenius"
@@ -68,8 +68,9 @@ class SolverOptions:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0 < self.rel_tol < np.inf:
             raise ParameterError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
 
@@ -309,8 +310,8 @@ def load_factorization(dirpath) -> Factorization:
     dirpath = Path(dirpath)
     try:
         meta = json.loads((dirpath / "meta.json").read_text())
-        basis = np.loadtxt(dirpath / "B.csv", delimiter=",", ndmin=2)
-        weights = np.loadtxt(dirpath / "W.csv", delimiter=",", ndmin=2)
+        basis = read_rows(dirpath / "B.csv")
+        weights = read_rows(dirpath / "W.csv")
     except (OSError, ValueError) as exc:
         raise FormatError(f"{dirpath}: not a factorization directory: {exc}") from None
     for key, kind in _META_TYPES.items():

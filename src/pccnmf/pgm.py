@@ -7,6 +7,7 @@ and two big-endian bytes otherwise.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,31 +15,19 @@ import numpy as np
 from .errors import FormatError
 
 
+# A header token, or a comment from "#" to the end of its line.
+_TOKEN = re.compile(rb"#[^\n]*|[^\s#]+")
+
+
 def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i:i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            yield i, data[i:j]
-            i = j
+    """Yield (offset, token) for the whitespace-separated header tokens, skipping comments."""
+    for match in _TOKEN.finditer(data):
+        if not match.group().startswith(b"#"):
+            yield match.start(), match.group()
 
 
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a P2/P5 PGM file.
-
-    Returns (image, maxval) where image is a (height, width) float array of
-    the raw sample values.
-    """
+def read_pgm(path) -> np.ndarray:
+    """Read a P2/P5 PGM file as a (height, width) float array of the raw sample values."""
     path = Path(path)
     data = path.read_bytes()
     it = _tokens(data)
@@ -83,18 +72,18 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             image = np.frombuffer(raw[:2 * count], dtype=">u2").astype(np.float64)
     if np.any(image > maxval):
         raise FormatError(f"{path}: sample exceeds maxval {maxval}")
-    return image.reshape(height, width), maxval
+    return image.reshape(height, width)
 
 
-def write_pgm(path, image, maxval: int = 255) -> None:
-    """Write a (height, width) array of integers in [0, maxval] as plain P2."""
+def write_pgm(path, image) -> None:
+    """Write a (height, width) array of integers in [0, 255] as plain P2 (maxval 255)."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise FormatError("image must be 2-d")
     pixels = np.rint(image).astype(np.int64)
-    pixels = np.clip(pixels, 0, maxval)
+    pixels = np.clip(pixels, 0, 255)
     height, width = pixels.shape
-    lines = ["P2", f"{width} {height}", f"{maxval}"]
+    lines = ["P2", f"{width} {height}", "255"]
     for row in pixels:
         lines.append(" ".join(str(int(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -98,8 +98,6 @@ def derive_pcc(m: DataMatrix, f: Factorization) -> PccModel:
         empty = int(np.argmax(image_mass == 0))
         raise DegenerateInputError(f"image column {empty} is all-zero; p(pixel|image) undefined")
     total = data.sum()
-    if total == 0:
-        raise DegenerateInputError("all-zero matrix")
 
     cond_pixel_given_basis = basis / column_mass
 

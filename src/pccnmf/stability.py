@@ -19,6 +19,13 @@ from .nmf import LOSS_FROBENIUS, SolverOptions, factorize
 from .report import RunReport, matrix_digest, timestamp
 
 
+def _peak_scaled(a: np.ndarray) -> np.ndarray:
+    """Each column of ``a`` (``a`` itself when 1-d) times the power of two that puts its
+    peak magnitude in [0.5, 1). Exact, so no cosine changes, but tiny squares and
+    products no longer underflow to 0."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=0, initial=0.0))[1])
+
+
 def _column_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of ``a`` (of ``a`` itself when 1-d)."""
     return np.sqrt((a * a).sum(axis=0))
@@ -35,6 +42,7 @@ def _paired_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of each column pair (a[:, j], b[:, j]), or of two 1-d vectors; 0 where
     either is all-zero. Numpy sums, never BLAS dots, whose bits vary with the BLAS
     thread count."""
+    a, b = _peak_scaled(a), _peak_scaled(b)
     return _cosines((a * b).sum(axis=0), _column_norms(a), _column_norms(b))
 
 
@@ -59,6 +67,8 @@ def cosine_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise ParameterError(f"column length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    # When b is a, one shared copy keeps a.T @ a numpy's symmetric product.
+    a, b = (_peak_scaled(a),) * 2 if b is a else (_peak_scaled(a), _peak_scaled(b))
     return 1.0 - _cosines(a.T @ b, _column_norms(a)[:, None], _column_norms(b)[None, :])
 
 
@@ -256,9 +266,8 @@ def distance_histogram(distances: np.ndarray) -> list[tuple[float, float, int, f
 
 def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
                          seed_a: int = 0, seed_b: int = 1,
-                         opts: SolverOptions | None = None,
-                         loss: str = LOSS_FROBENIUS) -> tuple[Matching, RunReport]:
-    """Factorize two related views of ``m`` and match their bases.
+                         opts: SolverOptions | None = None) -> tuple[Matching, RunReport]:
+    """Factorize two related views of ``m`` (Frobenius loss) and match their bases.
 
     mode="noise_split": split columns in half, flip-noise the second half
     with intensity xi (noise stream seeded by seed_b), factorize both halves
@@ -273,11 +282,11 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
         half = m.n_images // 2
         first = m.replace_values(m.values[:, :half])
         second = apply_flip_noise(m.replace_values(m.values[:, half:]), xi, seed=seed_b)
-        f1 = factorize(first, rank, loss, seed_a, opts)
-        f2 = factorize(second, rank, loss, seed_a, opts)
+        f1 = factorize(first, rank, seed=seed_a, opts=opts)
+        f2 = factorize(second, rank, seed=seed_a, opts=opts)
     elif mode == "seed_pair":
-        f1 = factorize(m, rank, loss, seed_a, opts)
-        f2 = factorize(m, rank, loss, seed_b, opts)
+        f1 = factorize(m, rank, seed=seed_a, opts=opts)
+        f2 = factorize(m, rank, seed=seed_b, opts=opts)
     else:
         raise ParameterError(f"unknown mode {mode!r} (want 'noise_split' or 'seed_pair')")
 
@@ -285,7 +294,7 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
     report = RunReport(
         command="stability_experiment",
         parameters={"rank": rank, "mode": mode, "xi": xi, "seed_a": seed_a,
-                    "seed_b": seed_b, "loss": loss},
+                    "seed_b": seed_b, "loss": LOSS_FROBENIUS},
         seeds=[seed_a, seed_b],
         input_digests={"matrix": matrix_digest(m)},
         outputs={

@@ -108,6 +108,16 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             pearson(np.ones(5), np.arange(5.0))
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([-600, -560, 0, 560]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_and_huge_inputs_keep_their_correlation(self, seed, exponent):
+        # At 2**-560 (about 1e-169) the squared norms used to underflow to 0 and
+        # pearson raised; scaling by a power of two changes no bit.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 2.0, 8)
+        y = x + rng.standard_normal(8)
+        assert pearson(np.ldexp(x, exponent), y) == pearson(x, y)
+
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             pearson(np.ones(3), np.ones(4))

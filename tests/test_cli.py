@@ -58,6 +58,14 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
         assert not (tmp_path / "p.csv.json").exists()
 
+    def test_csv_not_utf8_is_1(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_bytes(b"1,0\n0,\xe9\n")
+        code = run(["factorize", "-i", str(matrix), "-o", str(tmp_path / "f"), "--rank", "1"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and "m.csv" in err["message"]
+
     def test_missing_input_is_1(self, tmp_path, capsys):
         code = run(["factorize", "-i", str(tmp_path / "nope.csv"),
                     "-o", str(tmp_path / "f"), "--rank", "2"])
@@ -262,6 +270,19 @@ class TestReportBundle:
         doc = json.loads(out.read_text())
         assert doc["inputs"]["a.json"] == {"x": 1}
         assert doc["inputs"]["b.csv"] == ["R,seed", "1,0"]
+
+    @pytest.mark.parametrize("name, data", [("a.json", b"{not json\n"),
+                                            ("a.json", b'{"x": "\xff"}\n'),
+                                            ("b.csv", b"R,seed\n\xff,0\n")],
+                             ids=["not-json", "json-not-utf8", "csv-not-utf8"])
+    def test_unreadable_input_is_1(self, tmp_path, capsys, name, data):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        out = tmp_path / "bundle.json"
+        assert run(["report", "-o", str(out), str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FormatError" and name in err["message"]
+        assert not out.exists()
 
 
 class TestDeterminism:

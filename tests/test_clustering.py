@@ -102,7 +102,7 @@ class TestMontage:
         export_cluster_montage(report, m, f, tmp_path)
         strips = sorted(tmp_path.glob("*.pgm"))
         assert strips
-        loaded = load_matrix(tmp_path, format="pgm_dir")
+        loaded = load_matrix(tmp_path)
         # 8-bit round trip: reingested columns match the rendered panels to 1/255
         first = report.clusters[0]
         rendered = m.values[:, first.members[0].image]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pccnmf import (DataMatrix, FormatError, ParameterError, apply_flip_noise, binarize,
                     generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
+from pccnmf.pgm import read_pgm, write_pgm
 
 
 class TestDataMatrix:
@@ -87,6 +88,45 @@ class TestCsvIO:
         back = load_matrix(tmp_path / "m.csv")
         assert np.array_equal(back.values, m.values)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([1.0, 255.0, 5e-324, 1e-300]))
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_round_trip_bit_for_bit(self, tmp_path_factory, seed, rows, cols, scale):
+        values = np.random.default_rng(seed).random((rows, cols)) * scale
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        m = DataMatrix(values, scale="raw255" if scale > 1 else "unit")
+        save_matrix(m, path)
+        assert load_matrix(path).values.tobytes() == m.values.tobytes()
+
+    def test_parses_as_python_float(self, tmp_path):
+        # Underscores, surrounding whitespace, CRLF line ends and trailing blank
+        # lines are accepted, as float() and str.splitlines() accept them.
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"1_0, 0.5 ,\t2e-1\r\n.25,3.,1e+2\n\n  \n")
+        np.testing.assert_array_equal(load_matrix(p).values,
+                                      [[10.0, 0.5, 0.2], [0.25, 3.0, 100.0]])
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"),
+        ("\n  \n", "empty file"),
+        ("0,1\n\n2,3\n", "row 1 has 1 columns, expected 2"),
+        ("0,1\n2,x\n", "row 1, column 1: not a number: 'x'"),
+        ("0,1\n2,\n", "row 1, column 1: not a number: ''"),
+        ("0,1,2\n3,-4,5\n", "row 1, column 1: negative entry -4"),
+    ], ids=["empty", "blank-only", "interior-blank-line", "non-number", "empty-cell",
+            "negative"])
+    def test_malformed_csv_rejected(self, tmp_path, text, match):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=match):
+            load_matrix(p)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"0,1\n\xff\xfe,2\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_matrix(p)
+
     def test_swimmer_round_trip_with_sidecar(self, tmp_path, swimmer):
         import json
         save_matrix(swimmer, tmp_path / "sw.csv", source="swimmer", seed=None, xi=None)
@@ -101,7 +141,7 @@ class TestPgmDir:
     def test_two_p2_images(self, tmp_path):
         (tmp_path / "a.pgm").write_text("P2\n2 2\n255\n0 64\n128 255\n")
         (tmp_path / "b.pgm").write_text("P2\n2 2\n255\n1 2\n3 4\n")
-        m = load_matrix(tmp_path, format="pgm_dir")
+        m = load_matrix(tmp_path)
         assert m.values.shape == (4, 2)
         assert m.pixel_shape == (2, 2)
         np.testing.assert_array_equal(m.values[:, 0], [0, 64, 128, 255])
@@ -109,14 +149,37 @@ class TestPgmDir:
 
     def test_p5_binary(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([0, 10, 20, 30]))
-        m = load_matrix(tmp_path, format="pgm_dir")
+        m = load_matrix(tmp_path)
         np.testing.assert_array_equal(m.values[:, 0], [0, 10, 20, 30])
+
+    def test_write_read_round_trip_with_comments(self, tmp_path):
+        image = np.random.default_rng(3).integers(0, 256, size=(4, 7)).astype(np.float64)
+        plain = tmp_path / "plain.pgm"
+        write_pgm(plain, image)
+        np.testing.assert_array_equal(read_pgm(plain), image)
+        # The same header with a comment between every two tokens.
+        magic, size, maxval, *raster = plain.read_text().split("\n")
+        width, height = size.split()
+        commented = tmp_path / "commented.pgm"
+        commented.write_text(f"{magic}# plain\n{width}#w\n# two\n{height} #h\n"
+                             f"#max\n{maxval}\n" + "\n".join(raster))
+        np.testing.assert_array_equal(read_pgm(commented), image)
+
+    def test_p5_with_header_comments(self, tmp_path):
+        image = np.random.default_rng(4).integers(0, 256, size=(3, 5))
+        p = tmp_path / "a.pgm"
+        header = b"P5 # binary\n5 3\n# samples below\n255\n"
+        p.write_bytes(header + image.astype(np.uint8).tobytes())
+        np.testing.assert_array_equal(read_pgm(p), image)
+        m = load_matrix(tmp_path)
+        assert m.pixel_shape == (3, 5)
+        np.testing.assert_array_equal(m.values[:, 0], image.reshape(-1))
 
     def test_inconsistent_sizes_rejected(self, tmp_path):
         (tmp_path / "a.pgm").write_text("P2\n2 2\n255\n0 0\n0 0\n")
         (tmp_path / "b.pgm").write_text("P2\n3 1\n255\n0 0 0\n")
         with pytest.raises(FormatError, match="differs"):
-            load_matrix(tmp_path, format="pgm_dir")
+            load_matrix(tmp_path)
 
 
 class TestRescale:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, DegenerateInputError, Factorization, ParameterError,
-                    SolverOptions, apply_flip_noise, factorize, frobenius_error,
+from pccnmf import (DataMatrix, DegenerateInputError, Factorization, FormatError,
+                    ParameterError, SolverOptions, apply_flip_noise, factorize, frobenius_error,
                     gauge_transform, kl_divergence, load_factorization, rrssq,
                     save_factorization, truncated_svd)
 from pccnmf.nmf import _FLOOR
@@ -211,6 +211,17 @@ class TestFactorize:
             with pytest.raises(ParameterError):
                 SolverOptions(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("inf"), 3.0, True, "5", None])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # A float cap used to pass and then fail inside factorize with a TypeError.
+        with pytest.raises(ParameterError, match="max_iters must be an integer"):
+            SolverOptions(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        m = DataMatrix([[1.0, 0.0], [0.0, 1.0]])
+        f = factorize(m, 1, opts=SolverOptions(max_iters=np.int64(3), rel_tol=1e-15))
+        assert len(f.trace) - 1 <= 3
+
 
 class TestLossTrace:
     """The per-sweep loss comes from the update's own products; the factors,
@@ -400,3 +411,26 @@ class TestSerialization:
         np.testing.assert_allclose(g.weights, f.weights, rtol=0, atol=1e-15)
         assert (g.rank, g.loss, g.seed, g.converged) == (4, "kl", 3, f.converged)
         assert g.trace[-1] == pytest.approx(f.trace[-1])
+
+    def test_rank_one_round_trip_bit_for_bit(self, tmp_path):
+        values = np.random.default_rng(5).random((4, 3))
+        f = factorize(DataMatrix(values), 1, seed=2, opts=SolverOptions(max_iters=10))
+        save_factorization(f, tmp_path / "fac")
+        g = load_factorization(tmp_path / "fac")
+        assert g.basis.shape == (4, 1) and g.weights.shape == (1, 3)
+        assert g.basis.tobytes() == f.basis.tobytes()
+        assert g.weights.tobytes() == f.weights.tobytes()
+
+    @pytest.mark.parametrize("name, data", [("B.csv", None), ("W.csv", None),
+                                            ("W.csv", b"0.5,oops\n"), ("B.csv", b"\xff\n")],
+                             ids=["missing-B", "missing-W", "W-not-a-number", "B-not-utf8"])
+    def test_bad_factor_file_is_format_error(self, tmp_path, name, data):
+        values = np.random.default_rng(6).random((3, 2))
+        save_factorization(factorize(DataMatrix(values), 1, opts=SolverOptions(max_iters=5)),
+                           tmp_path)
+        if data is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(FormatError, match=name):
+            load_factorization(tmp_path)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccnmf import (ParameterError, SolverOptions, cosine_distance, cosine_distance_matrix,
                     distance_histogram, lexicographic_assignment, match_bases,
@@ -95,6 +97,26 @@ class TestCosineDistance:
     def test_not_one_dimensional(self, shape):
         with pytest.raises(ParameterError):
             cosine_distance(np.ones(shape), np.ones(shape))
+
+    def test_tiny_vectors_keep_their_cosine(self):
+        # Squares and products of entries below about 1e-154 underflow to 0.
+        assert cosine_distance([0.0, 3e-170], [0.0, 3e-170]) == 0.0
+        assert cosine_distance([3e-170, 0.0], [0.0, 3e-170]) == 1.0
+        d = cosine_distance_matrix(np.array([[3e-170, 0.0], [0.0, 0.0]]),
+                                   np.array([[1e-200], [0.0]]))
+        np.testing.assert_array_equal(d, [[0.0], [1.0]])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-900, 900))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scaling_changes_no_bit(self, seed, exponent):
+        # Entries stay normal at every scale drawn, so the scaling is exact.
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(1e-3, 1e3, (6, 3)) * rng.choice([-1.0, 1.0], (6, 3))
+        b = rng.uniform(1e-3, 1e3, (6, 4))
+        scaled = np.ldexp(a, exponent)
+        assert cosine_distance(scaled[:, 0], b[:, 0]) == cosine_distance(a[:, 0], b[:, 0])
+        np.testing.assert_array_equal(cosine_distance_matrix(scaled, b),
+                                      cosine_distance_matrix(a, b))
 
     def test_matrix_agrees_with_scalar(self, rng):
         a = rng.standard_normal((5, 3))

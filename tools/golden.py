@@ -6,10 +6,12 @@ Runs each subcommand of the pccnmf package in the ``src/`` directory next to
 this script, with ``PCCNMF_TIMESTAMP`` and ``PCCNMF_SEED`` pinned, inside
 OUTDIR (which must not exist yet). The script first writes ``graded.csv``
 there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
-run on non-binary data. Every file the commands write, and the stdout and
-stderr of each command, stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their
-SHA-256 digests in the format of ``sha256sum``. Commands run with relative
-paths, so the outputs do not depend on where OUTDIR is. The
+run on non-binary data, and ``pgm/``, small P2 and P5 images with comments in
+their headers, which ``factorize`` and ``cluster`` read as a PGM directory.
+Every file the commands write, and the stdout and stderr of each command,
+stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
+format of ``sha256sum``. Commands run with relative paths, so the outputs do
+not depend on where OUTDIR is. The
 ``analyze --export-pcc`` command runs twice more with ``OPENBLAS_NUM_THREADS``
 pinned at 1 and at 2; equal digests for ``analysis_blas1.json`` and
 ``analysis_blas2.json`` (and for ``pcc_blas1/`` and ``pcc_blas2/``) show that
@@ -94,6 +96,9 @@ COMMANDS = (
     ("rank-scan-dual-kl-threads2", ["--threads", "2", "rank-scan", "-i", "graded.csv", "-o",
                                     "scan_dual_kl_graded_t2.json", "--r-min", "3", "--r-max",
                                     "6", "--seeds", "2", "--dual", "--loss", "kl"]),
+    ("factorize-pgm", ["factorize", "-i", "pgm", "-o", "fac_pgm", "--rank", "3",
+                       "--seed", "4"]),
+    ("cluster-pgm", ["cluster", "-i", "pgm", "-f", "fac_pgm", "-o", "clusters_pgm", "--k", "2"]),
     ("report", ["report", "-o", "bundle.json", "scan.json", "denoise_svd.json",
                 "stab_seed_60.json"]),
 )
@@ -105,6 +110,24 @@ def write_graded_csv(path: Path) -> None:
     rows = (",".join(str(rand.randint(1, 255)) if rand.random() < 0.6 else "0"
                      for _ in range(64)) for _ in range(48))
     path.write_text("\n".join(rows) + "\n")
+
+
+def write_pgm_dir(path: Path) -> None:
+    """Six 5 x 4 images of integers in 0..255, each with a 255, from a fixed seed:
+    even-numbered files plain P2, odd-numbered ones binary P5, each header with
+    comments between its tokens."""
+    rand = random.Random(2025)
+    path.mkdir()
+    for k in range(6):
+        samples = [rand.randint(1, 255) if rand.random() < 0.7 else 0 for _ in range(20)]
+        samples[k] = 255
+        header = f"P{5 if k % 2 else 2}\n# image {k}\n4 # width\n5\n# maxval\n255\n"
+        if k % 2:
+            raster = bytes(samples)
+        else:
+            raster = "\n".join(" ".join(map(str, samples[r:r + 4]))
+                               for r in range(0, 20, 4)).encode() + b"\n"
+        (path / f"img_{k}.pgm").write_bytes(header.encode() + raster)
 
 
 # Largest relative change a float may show under --compare.
@@ -224,6 +247,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True)
     write_graded_csv(out / "graded.csv")
+    write_pgm_dir(out / "pgm")
     env = dict(os.environ, **ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     logs = out / "logs"
