@@ -1,9 +1,9 @@
 """Command-line interface: every pipeline as a subcommand with reproducible outputs.
 
 Exit codes: 0 success, 1 computational failure (JSON error object on stderr),
-2 usage error. All numeric payloads are deterministic for fixed flags in
-single-threaded mode; the PCCNMF_SEED env var supplies the default base seed
-and PCCNMF_TIMESTAMP pins report timestamps.
+2 usage error. All numeric payloads are deterministic for fixed flags; the
+PCCNMF_SEED env var supplies the default base seed and PCCNMF_TIMESTAMP pins
+report timestamps.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ def _solver_options(args) -> nmf.SolverOptions:
 def _add_solver_flags(parser):
     parser.add_argument("--max-iters", type=int, default=nmf.SolverOptions.max_iters)
     parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol)
-
-
-def _positive_int(arg: str) -> int:
-    try:
-        value = int(arg)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _pixel_shape(arg: str | None):
@@ -98,8 +88,7 @@ def cmd_rank_scan(args) -> int:
     seeds = _seed_list(args.seeds, _default_seed())
     scan = rank_scan.estimate_rc_dual if args.dual else rank_scan.estimate_rc
     started = timestamp()
-    report = scan(m, tau, args.r_min, args.r_max, seeds, args.loss,
-                  _solver_options(args), threads=args.threads)
+    report = scan(m, tau, args.r_min, args.r_max, seeds, args.loss, _solver_options(args))
     run = RunReport(command="rank-scan",
                     parameters={"r_min": args.r_min, "r_max": args.r_max, "tau": tau,
                                 "loss": args.loss, "dual": args.dual,
@@ -185,7 +174,7 @@ def cmd_denoise(args) -> int:
     if args.baseline == "svd":
         report = denoising.compare_with_svd(clean, noisy, range(args.r_lo, args.r_hi + 1),
                                             seeds=seeds, opts=opts, exclusions=args.exclusions,
-                                            xi=args.xi, threads=args.threads)
+                                            xi=args.xi)
         curves = report.ac_curves()
         header = ["R", "ac_nmf", "ac_svd", "ac_nmf_smoothed", "ac_svd_smoothed", "violations"]
         rows = [(e.rank, curves["ac_nmf"][i], curves["ac_svd"][i],
@@ -194,7 +183,7 @@ def cmd_denoise(args) -> int:
     else:
         report = denoising.find_r_range(clean, noisy, args.r_lo, args.r_hi,
                                         exclusions=args.exclusions, seeds=seeds, opts=opts,
-                                        xi=args.xi, threads=args.threads)
+                                        xi=args.xi)
         header = ["R", "violations", "min_margin"]
         rows = [(e.rank, e.violations, e.min_margin) for e in report.entries]
     run = RunReport(command="denoise",
@@ -228,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pccnmf",
         description="Nonnegative matrix factorization with common-cause diagnostics.")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="parallel scan workers (default 1, fully reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("swimmer-gen", help="generate the 169x256 Swimmer matrix")

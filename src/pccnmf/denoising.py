@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, SolverOptions, _map_jobs, _truncate, factorize
+from .nmf import Factorization, SolverOptions, _truncate, factorize
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
@@ -118,21 +118,21 @@ class DenoiseReport:
 
 
 def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions: int,
-           xi, with_ac: bool, threads: int) -> DenoiseReport:
+           xi, with_ac: bool) -> DenoiseReport:
     """Factorize ``noisy`` (Frobenius loss) once per (rank, seed) and build the report
     from those runs."""
     ranks = tuple(ranks)
     seeds = tuple(seeds)
     if not ranks:
         raise ParameterError("no ranks to scan")
-    if min(ranks) < 1:
-        raise ParameterError("ranks must be >= 1")
+    limit = min(noisy.n_pixels, noisy.n_images)
+    if min(ranks) < 1 or max(ranks) > limit:
+        raise ParameterError(f"ranks must lie in [1, {limit}]")
     if exclusions < 0:
         raise ParameterError("exclusions must be >= 0")
     if not seeds:
         raise ParameterError("seeds must be non-empty")
-    # One SVD of the noisy matrix serves every rank; factorize has already
-    # rejected any rank the truncation could not take.
+    # One SVD of the noisy matrix serves every rank.
     svd = np.linalg.svd(noisy.values, full_matrices=False) if with_ac else None
 
     def one(rank):
@@ -156,7 +156,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
         return DenoiseRankEntry(rank=rank, violations=best_violations,
                                 min_margin=best_min_margin, ac_nmf=ac_nmf, ac_svd=ac_svd)
 
-    entries = _map_jobs(one, ranks, threads)
+    entries = tuple(map(one, ranks))
     qualified = [e.rank for e in entries if e.violations <= exclusions]
     return DenoiseReport(ranks=ranks, entries=entries, exclusions=exclusions,
                          r1=qualified[0] if qualified else None,
@@ -166,26 +166,21 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
 
 def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
                  exclusions: int = 2, seeds=(0,), opts: SolverOptions | None = None,
-                 xi: float | None = None, threads: int = 1) -> DenoiseReport:
+                 xi: float | None = None) -> DenoiseReport:
     """Scan ranks [r_lo, r_hi]; a rank qualifies when at most ``exclusions``
     images have non-positive margin (best seed counts).
 
     r1/r2 are the smallest/largest qualifying ranks; the full qualification
     mask is kept so interior gaps stay visible.
     """
-    if r_lo < 1:
-        raise ParameterError("r_lo must be >= 1")
-    if r_hi < r_lo:
-        raise ParameterError("r_hi must be >= r_lo")
     return _sweep(clean, noisy, range(r_lo, r_hi + 1), seeds, opts, exclusions, xi,
-                  with_ac=False, threads=threads)
+                  with_ac=False)
 
 
 def compare_with_svd(clean: DataMatrix, distorted: DataMatrix, r_values, seeds=(0,),
                      opts: SolverOptions | None = None, exclusions: int = 2,
-                     xi: float | None = None, threads: int = 1) -> DenoiseReport:
+                     xi: float | None = None) -> DenoiseReport:
     """The :func:`find_r_range` report over ``r_values``, plus nearest-neighbor
     accuracy curves for the factorization (best-of-seeds) and the truncated-SVD
     baseline on the same distorted input."""
-    return _sweep(clean, distorted, r_values, seeds, opts, exclusions, xi,
-                  with_ac=True, threads=threads)
+    return _sweep(clean, distorted, r_values, seeds, opts, exclusions, xi, with_ac=True)

@@ -33,7 +33,6 @@ for bit. The last trace entry is always the direct value, equal to
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +102,8 @@ class Factorization:
         if self.rank != self.basis.shape[1]:
             raise ParameterError(
                 f"rank {self.rank} does not match {self.basis.shape[1]} basis columns")
+        if not (np.isfinite(self.basis).all() and np.isfinite(self.weights).all()):
+            raise ParameterError("factors must be finite")
         if np.any(self.basis < 0) or np.any(self.weights < 0):
             raise ParameterError("factors must be nonnegative")
 
@@ -219,14 +220,6 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
 
     return Factorization(basis=basis, weights=weights, rank=rank, loss=loss,
                          seed=seed, trace=np.array(trace), converged=converged)
-
-
-def _map_jobs(fn, jobs, threads: int) -> tuple:
-    """``fn`` applied to each job, results in job order; on ``threads`` threads above 1."""
-    if threads <= 1:
-        return tuple(map(fn, jobs))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tuple(pool.map(fn, jobs))
 
 
 def frobenius_error(m: DataMatrix, f: Factorization) -> float:

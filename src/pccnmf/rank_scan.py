@@ -18,8 +18,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import DegenerateInputError, ParameterError
-from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _map_jobs, factorize,
-                  frobenius_error)
+from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, factorize, frobenius_error
 from .probability import PccModel, derive_pcc
 from .stability import cosine_distance_matrix
 
@@ -180,7 +179,7 @@ class RankScanReport:
 
 
 def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
-          opts: SolverOptions | None, dual: bool, threads: int) -> RankScanReport:
+          opts: SolverOptions | None, dual: bool) -> RankScanReport:
     if r_min < 1:
         raise ParameterError("r_min must be >= 1")
     if r_max < r_min:
@@ -195,8 +194,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
 
     ranks = tuple(range(r_min, r_max + 1))
 
-    def one(job):
-        rank, seed = job
+    def one(rank, seed):
         f = factorize(m, rank, loss, seed, opts)
         pcc = derive_pcc(m, f)
         if dual:
@@ -214,7 +212,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
             bic3=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic3"),
         )
 
-    entries = _map_jobs(one, [(rank, seed) for rank in ranks for seed in seeds], threads)
+    entries = tuple(one(rank, seed) for rank in ranks for seed in seeds)
 
     median_invalid = tuple(
         float(np.median([1.0 - e.valid_fraction for e in entries if e.rank == rank]))
@@ -231,19 +229,18 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
 
 
 def estimate_rc(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds,
-                loss: str = LOSS_FROBENIUS, opts: SolverOptions | None = None,
-                threads: int = 1) -> RankScanReport:
+                loss: str = LOSS_FROBENIUS, opts: SolverOptions | None = None) -> RankScanReport:
     """Scan ranks and locate the smallest one passing the bracketing test.
 
     Linear scan (the invalid fraction need not be monotone in the rank); the
     per-seed curve is kept in full. Common thresholds: tau = 1/(N*M) tolerates
     a single invalid pair in the dataset, tau = 1/M one per image.
     """
-    return _scan(m, tau, r_min, r_max, seeds, loss, opts, dual=False, threads=threads)
+    return _scan(m, tau, r_min, r_max, seeds, loss, opts, dual=False)
 
 
 def estimate_rc_dual(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds,
-                     loss: str = LOSS_FROBENIUS, opts: SolverOptions | None = None,
-                     threads: int = 1) -> RankScanReport:
+                     loss: str = LOSS_FROBENIUS,
+                     opts: SolverOptions | None = None) -> RankScanReport:
     """Same scan with pixel/image roles swapped (report tagged dual=True)."""
-    return _scan(m, tau, r_min, r_max, seeds, loss, opts, dual=True, threads=threads)
+    return _scan(m, tau, r_min, r_max, seeds, loss, opts, dual=True)

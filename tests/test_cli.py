@@ -44,11 +44,6 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
         assert not (out / "meta.json").exists()
 
-    def test_threads_below_one_is_2(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["--threads", "0", "swimmer-gen", "-o", "unused.csv"])
-        assert exc.value.code == 2
-
     def test_unparsable_env_seed_is_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PCCNMF_SEED", "abc")
         src = tmp_path / "m.csv"
@@ -161,6 +156,24 @@ class TestFactorizeAnalyzeCluster:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] in ("ParameterError", "FormatError")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_analyze_rejects_non_finite_factor(self, tmp_path, capsys, cell):
+        # A NaN basis cell used to drop its column as zero-mass; an inf one wrote
+        # "hoyer_bases": NaN, which is not JSON.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.1,0.5,0.9\n0.3,0.2,0.8\n0.7,0.6,0.1\n")
+        fac = tmp_path / "fac"
+        run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+             "--max-iters", "200"])
+        lines = (fac / "B.csv").read_text().splitlines()
+        lines[0] = ",".join([cell] + lines[0].split(",")[1:])
+        (fac / "B.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "analysis.json"
+        assert run(["analyze", "-i", str(matrix), "-f", str(fac), "-o", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ParameterError", "message": "factors must be finite"}
+        assert not out.exists()
 
     def test_cluster_outputs(self, tmp_path, small_csv):
         fac = tmp_path / "fac"

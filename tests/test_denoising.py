@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions, accuracy,
-                    apply_flip_noise, compare_with_svd, cosine_distance_matrix,
+                    apply_flip_noise, compare_with_svd, cosine_distance_matrix, denoising,
                     denoise_margins, find_r_range, truncated_svd)
 
 
@@ -168,6 +168,18 @@ class TestFindRRange:
         with pytest.raises(ParameterError):
             compare_with_svd(m, m, (1, 2), exclusions=-1)
 
+    def test_rank_above_min_dimension_rejected_before_any_work(self, monkeypatch):
+        # Own data: drawing from the session rng would shift every later test's inputs.
+        m = DataMatrix(np.random.default_rng(3).random((4, 5)))
+        calls = []
+        monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+        with pytest.raises(ParameterError, match=r"\[1, 4\]"):
+            find_r_range(m, m, 1, 6, seeds=(0, 1))
+        with pytest.raises(ParameterError, match=r"\[1, 4\]"):
+            compare_with_svd(m, m, (1, 2, 3, 9))
+        assert calls == []
+
 
 class TestCompareWithSvd:
     def test_clean_input_reaches_full_accuracy(self, rng):
@@ -195,8 +207,8 @@ class TestCompareWithSvd:
                 accuracy(clean, truncated_svd(noisy, entry.rank)))
         assert len(report.ac_curves()["ac_nmf_smoothed"]) == 2
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_svd_per_sweep(self, monkeypatch, threads):
+    @pytest.mark.parametrize("n_seeds", [1, 2])
+    def test_one_svd_per_sweep(self, monkeypatch, n_seeds):
         rng = np.random.default_rng(41)
         clean = DataMatrix(rng.random((9, 8)))
         noisy = apply_flip_noise(clean, 0.3, seed=2)
@@ -209,9 +221,9 @@ class TestCompareWithSvd:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        report = compare_with_svd(clean, noisy, r_values=(2, 3, 4), seeds=(0,),
-                                  opts=SolverOptions(max_iters=50, rel_tol=1e-10),
-                                  threads=threads)
+        report = compare_with_svd(clean, noisy, r_values=(2, 3, 4),
+                                  seeds=tuple(range(n_seeds)),
+                                  opts=SolverOptions(max_iters=50, rel_tol=1e-10))
         assert len(calls) == 1
         assert [e.ac_svd for e in report.entries] == expected
 

@@ -192,6 +192,15 @@ class TestFactorize:
         assert np.all(f.basis >= 0)
         assert np.all(f.weights >= 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("factor", ["basis", "weights"])
+    def test_non_finite_factors_rejected(self, factor, value):
+        parts = {"basis": np.full((3, 2), 0.5), "weights": np.full((2, 4), 0.5)}
+        parts[factor][1, 1] = value
+        with pytest.raises(ParameterError, match="factors must be finite"):
+            Factorization(rank=2, loss="frobenius", seed=0, trace=[0.0], converged=True,
+                          **parts)
+
     def test_rank_out_of_range(self, swimmer):
         with pytest.raises(ParameterError):
             factorize(swimmer, 0)

@@ -5,8 +5,8 @@ import pytest
 
 from pccnmf import (DataMatrix, DegenerateInputError, Factorization, ParameterError,
                     SolverOptions, bic_from_error, derive_pcc, dual_predictability_fraction,
-                    estimate_rc, estimate_rc_dual, factorize, gauge_transform,
-                    mean_internal_distance, predictability_fraction, rrssq)
+                    estimate_rc, estimate_rc_dual, factorize, frobenius_error,
+                    gauge_transform, mean_internal_distance, predictability_fraction, rrssq)
 from conftest import random_mixture
 
 
@@ -206,15 +206,17 @@ class TestEstimateRc:
         assert report.best_rank in (1, 2)
         assert report.best_invalid > 0.0
 
-    def test_threads_match_sequential(self, rng):
+    def test_entries_match_direct_factorizations(self, rng):
         m, _, _ = random_mixture(rng, 6, 7, 2)
         opts = SolverOptions(max_iters=150, rel_tol=1e-10)
-        seq = estimate_rc(m, tau=0.0, r_min=1, r_max=3, seeds=[0, 1], opts=opts, threads=1)
-        par = estimate_rc(m, tau=0.0, r_min=1, r_max=3, seeds=[0, 1], opts=opts, threads=4)
-        for a, b in zip(seq.entries, par.entries):
-            assert (a.rank, a.seed) == (b.rank, b.seed)
-            assert a.valid_fraction == pytest.approx(b.valid_fraction, rel=1e-8)
-            assert a.frobenius_error == pytest.approx(b.frobenius_error, rel=1e-8)
+        report = estimate_rc(m, tau=0.0, r_min=1, r_max=3, seeds=[0, 1], opts=opts)
+        assert [(e.rank, e.seed) for e in report.entries] == [(r, s) for r in (1, 2, 3)
+                                                              for s in (0, 1)]
+        for e in report.entries:
+            f = factorize(m, e.rank, "frobenius", e.seed, opts)
+            assert e.valid_fraction == predictability_fraction(derive_pcc(m, f))
+            assert e.frobenius_error == frobenius_error(m, f)
+            assert e.rrssq == rrssq(m, f)
 
     def test_parameter_validation(self, rng):
         m, _, _ = random_mixture(rng, 4, 5, 2)

@@ -60,8 +60,6 @@ COMMANDS = (
                       "--loss", "kl", "--seed", "1"]),
     ("rank-scan", ["rank-scan", "-i", "swim.csv", "-o", "scan.json", "--r-min", "12",
                    "--r-max", "17", "--seeds", "3"]),
-    ("rank-scan-threads2", ["--threads", "2", "rank-scan", "-i", "swim.csv", "-o",
-                            "scan_t2.json", "--r-min", "12", "--r-max", "17", "--seeds", "3"]),
     ("rank-scan-dual-kl", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl.json",
                            "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
                            "--loss", "kl"]),
@@ -93,9 +91,9 @@ COMMANDS = (
                         "--k", "3", "--no-require-positive"]),
     ("factorize-kl-graded", ["factorize", "-i", "graded.csv", "-o", "fac_kl_graded", "--rank",
                              "6", "--loss", "kl", "--seed", "2"]),
-    ("rank-scan-dual-kl-threads2", ["--threads", "2", "rank-scan", "-i", "graded.csv", "-o",
-                                    "scan_dual_kl_graded_t2.json", "--r-min", "3", "--r-max",
-                                    "6", "--seeds", "2", "--dual", "--loss", "kl"]),
+    ("rank-scan-dual-kl-graded", ["rank-scan", "-i", "graded.csv", "-o",
+                                  "scan_dual_kl_graded.json", "--r-min", "3", "--r-max", "6",
+                                  "--seeds", "2", "--dual", "--loss", "kl"]),
     ("factorize-pgm", ["factorize", "-i", "pgm", "-o", "fac_pgm", "--rank", "3",
                        "--seed", "4"]),
     ("cluster-pgm", ["cluster", "-i", "pgm", "-f", "fac_pgm", "-o", "clusters_pgm", "--k", "2"]),
