@@ -20,15 +20,19 @@ from .nmf import Factorization, SolverOptions, _truncate, factorize
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
+def _check_same_shape(clean: DataMatrix, noisy: DataMatrix) -> None:
+    if clean.values.shape != noisy.values.shape:
+        raise ParameterError(
+            f"shape mismatch: clean {clean.values.shape}, noisy {noisy.values.shape}")
+
+
 def denoise_margins(clean: DataMatrix, noisy: DataMatrix, f_noisy: Factorization) -> np.ndarray:
     """Per-image denoising margin D(P_i, noisy_i) - D(P_i, recon_i).
 
     Positive margin: the reconstruction of the noisy image is closer to the
     clean image than the noisy image itself.
     """
-    if clean.values.shape != noisy.values.shape:
-        raise ParameterError(
-            f"shape mismatch: clean {clean.values.shape}, noisy {noisy.values.shape}")
+    _check_same_shape(clean, noisy)
     recon = f_noisy.reconstruct()
     if recon.shape != clean.values.shape:
         raise ParameterError(
@@ -123,6 +127,7 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
     from those runs."""
     ranks = tuple(ranks)
     seeds = tuple(seeds)
+    _check_same_shape(clean, noisy)
     if not ranks:
         raise ParameterError("no ranks to scan")
     limit = min(noisy.n_pixels, noisy.n_images)

@@ -180,6 +180,19 @@ class TestFindRRange:
             compare_with_svd(m, m, (1, 2, 3, 9))
         assert calls == []
 
+    def test_shape_mismatch_rejected_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        clean = DataMatrix(rng.random((4, 5)))
+        noisy = DataMatrix(rng.random((4, 6)))
+        calls = []
+        monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+        with pytest.raises(ParameterError, match=r"clean \(4, 5\), noisy \(4, 6\)"):
+            find_r_range(clean, noisy, 1, 3, seeds=(0, 1))
+        with pytest.raises(ParameterError, match="shape mismatch"):
+            compare_with_svd(clean, noisy, (1, 2))
+        assert calls == []
+
 
 class TestCompareWithSvd:
     def test_clean_input_reaches_full_accuracy(self, rng):

@@ -41,18 +41,43 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
     recomputed from a full reconstruction after every sweep. Returns
     (basis, weights, trace, converged).
 
-    With ``lit_rows`` the Frobenius products P W^T and B^T P run on the rows of
-    P that are nonzero somewhere, always gathered, and P W^T is 0 on the other
-    rows, as in factorize. Without it, both products run on the whole of P, as
-    the dense loop did."""
+    With ``lit_rows`` the Frobenius sweep mirrors factorize's grouped
+    products: the basis lives on the rows of P that are nonzero somewhere,
+    dark rows add floor^2 each to B^T B, and when L lit rows of M entries
+    hold D distinct ones with D (L + M) < L M, P W^T and B^T P run once per
+    distinct row. Without it, both products run on the whole of P, as the
+    dense loop did."""
     opts = opts or SolverOptions()
     data = m.values
     floor = 1e-12
-    lit = np.flatnonzero(data.any(axis=1))
     rng = np.random.default_rng(seed)
     amplitude = np.sqrt(data.mean() / rank)
     basis = (1.0 - rng.random((data.shape[0], rank))) * amplitude
     weights = (1.0 - rng.random((rank, data.shape[1]))) * amplitude
+
+    lit = np.flatnonzero(data.any(axis=1))
+    n_dark = data.shape[0] - len(lit)
+    distinct, group = [], []
+    for i in lit:
+        matches = [g for g, j in enumerate(distinct) if np.array_equal(data[i], data[j])]
+        if not matches:
+            distinct.append(i)
+        group.append(matches[0] if matches else len(distinct) - 1)
+    repeats = len(distinct) * (len(lit) + data.shape[1]) < len(lit) * data.shape[1]
+    if repeats:
+        members = np.zeros((len(lit), len(distinct)))
+        members[np.arange(len(lit)), group] = 1.0
+        distinct_rows = data[distinct]
+    else:
+        distinct_rows = data[lit] if n_dark else data
+    grouped = loss == "frobenius" and lit_rows
+
+    def full_basis():
+        if not (grouped and n_dark):
+            return basis
+        full = np.full((data.shape[0], rank), floor)
+        full[lit] = basis
+        return full
 
     def loss_value(recon):
         if loss == "frobenius":
@@ -64,15 +89,18 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
         return fit - float(data.sum()) + float(recon.sum())
 
     trace = [loss_value(basis @ weights)]
+    if grouped and n_dark:
+        basis = basis[lit]
     converged = False
     for _ in range(opts.max_iters):
-        if loss == "frobenius" and lit_rows:
-            numer = np.zeros(basis.shape)
-            numer[lit] = data[lit] @ weights.T
+        if grouped:
+            numer = distinct_rows @ weights.T
+            if repeats:
+                numer = numer[group]
             denom = basis @ (weights @ weights.T)
             basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
-            numer = basis[lit].T @ data[lit]
-            denom = (basis.T @ basis) @ weights
+            numer = (basis.T @ members if repeats else basis.T) @ distinct_rows
+            denom = (basis.T @ basis + n_dark * floor ** 2) @ weights
             weights = np.maximum(weights * numer / np.maximum(denom, floor), floor)
         elif loss == "frobenius":
             numer = data @ weights.T
@@ -89,13 +117,13 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
             weights = weights * (basis.T @ (data / recon)) / np.maximum(
                 basis.sum(axis=0)[:, None], floor)
             weights = np.maximum(weights, floor)
-        current = loss_value(basis @ weights)
+        current = loss_value(full_basis() @ weights)
         previous = trace[-1]
         trace.append(current)
         if abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
             converged = True
             break
-    return basis, weights, np.array(trace), converged
+    return full_basis(), weights, np.array(trace), converged
 
 
 def make_factorization(basis, weights, loss="frobenius"):
@@ -320,9 +348,9 @@ class TestLossTrace:
 
     @pytest.mark.parametrize("rank", [9, 17])
     def test_lit_rows_agree_with_dense_loop(self, swimmer, rank):
-        # 105 of the Swimmer's 169 pixel rows are dark. Dropping them changes
-        # the BLAS kernel of the two data products and so the last bits, but
-        # not the stopping sweep.
+        # 105 of the Swimmer's 169 pixel rows are dark and the 64 lit ones hold
+        # 17 distinct rows. The grouped, shorter products sum in another order,
+        # which changes the last bits but not the stopping sweep.
         assert np.count_nonzero(swimmer.values.any(axis=1)) == 64
         f = factorize(swimmer, rank, seed=0)
         basis, weights, trace, converged = reference_factorize(swimmer, rank, seed=0,
@@ -367,6 +395,97 @@ class TestLossTrace:
         opts = SolverOptions(rel_tol=rel_tol)
         f = self.assert_matches_reference(m, 1, "frobenius", seed=0, opts=opts)
         assert np.all(f.trace >= 0)
+
+
+class TestRowGroups:
+    """Lit rows that repeat are multiplied once per distinct row, and the basis
+    lives on the lit rows. Each input draws from its own generator."""
+
+    @staticmethod
+    def assert_matches_dense_loop(values, rank, seed=0, opts=None):
+        m = DataMatrix(values)
+        f = factorize(m, rank, seed=seed, opts=opts)
+        basis, weights, trace, converged = reference_factorize(m, rank, seed=seed, opts=opts,
+                                                               lit_rows=False)
+        assert (len(f.trace), f.converged) == (len(trace), converged)
+        np.testing.assert_allclose(f.basis, basis, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(f.weights, weights, rtol=1e-10, atol=0)
+        assert np.all(f.basis[~values.any(axis=1)] == _FLOOR)
+        assert f.trace[-1] == frobenius_error(m, f)
+        basis, weights, _, _ = reference_factorize(m, rank, seed=seed, opts=opts)
+        assert np.array_equal(f.basis, basis)
+        assert np.array_equal(f.weights, weights)
+        return f
+
+    @staticmethod
+    def tiled(rng, n_distinct, n_rows, n_images, n_dark=0):
+        """n_rows rows drawn from n_distinct random rows, each used at least once,
+        in random order, with n_dark all-zero rows spread among them."""
+        distinct = rng.random((n_distinct, n_images)) * (rng.random((n_distinct, n_images)) < 0.7)
+        distinct[:, 0] = 1.0
+        pick = rng.permutation(np.arange(n_rows) % n_distinct)
+        values = np.vstack([distinct[pick], np.zeros((n_dark, n_images))])
+        return values[rng.permutation(n_rows + n_dark)]
+
+    def test_repeated_rows_without_dark_rows(self):
+        values = self.tiled(np.random.default_rng(21), 8, 40, 30)
+        assert values.any(axis=1).all()
+        assert len({row.tobytes() for row in values}) == 8
+        self.assert_matches_dense_loop(values, 5, seed=1)
+
+    def test_repeated_and_dark_rows(self):
+        values = self.tiled(np.random.default_rng(22), 9, 36, 30, n_dark=12)
+        assert np.count_nonzero(values.any(axis=1)) == 36
+        for max_iters in (1, 2000):
+            self.assert_matches_dense_loop(values, 6, seed=2,
+                                           opts=SolverOptions(max_iters=max_iters))
+
+    @pytest.mark.parametrize("n_images, rank", [(1, 1), (20, 1), (20, 3)])
+    def test_every_lit_row_identical(self, n_images, rank):
+        rng = np.random.default_rng(23)
+        row = 1.0 - 0.9 * rng.random(n_images)
+        lit = rng.random(15) < 0.6
+        values = np.outer(lit, row)
+        f = self.assert_matches_dense_loop(values, rank, seed=3)
+        assert f.trace[-1] <= 1e-20 * np.sum(values ** 2)
+
+    def test_rank_above_number_of_distinct_rows(self):
+        values = self.tiled(np.random.default_rng(24), 4, 30, 25, n_dark=5)
+        self.assert_matches_dense_loop(values, 7, seed=4)
+
+    def test_fortran_ordered_input(self):
+        values = np.asfortranarray(self.tiled(np.random.default_rng(25), 7, 32, 28, n_dark=8))
+        assert not values.flags.c_contiguous
+        self.assert_matches_dense_loop(values, 5, seed=5)
+
+    @pytest.mark.parametrize("n_dark", [0, 40])
+    def test_one_repeated_pair_keeps_plain_products(self, n_dark):
+        # 299 distinct rows of 300: groups would cost more than they save.
+        rng = np.random.default_rng(26)
+        values = np.vstack([rng.random((300, 8)), np.zeros((n_dark, 8))])
+        values[217] = values[41]
+        values = values[rng.permutation(len(values))]
+        f = self.assert_matches_dense_loop(values, 4, seed=6)
+        if not n_dark:
+            basis, weights, _, _ = reference_factorize(DataMatrix(values), 4, seed=6,
+                                                       lit_rows=False)
+            assert np.array_equal(f.basis, basis)
+            assert np.array_equal(f.weights, weights)
+
+    def test_one_repeated_pair_allocates_no_row_to_group_matrix(self):
+        # A 1500 x 1499 row-to-group matrix would take 18 MB.
+        import tracemalloc
+        rng = np.random.default_rng(27)
+        values = rng.random((1500, 6))
+        values[900] = values[200]
+        m = DataMatrix(values)
+        tracemalloc.start()
+        try:
+            factorize(m, 3, seed=7, opts=SolverOptions(max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * values.nbytes
 
 
 class TestGauge:

@@ -6,8 +6,10 @@ Runs each subcommand of the pccnmf package in the ``src/`` directory next to
 this script, with ``PCCNMF_TIMESTAMP`` and ``PCCNMF_SEED`` pinned, inside
 OUTDIR (which must not exist yet). The script first writes ``graded.csv``
 there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
-run on non-binary data, and ``pgm/``, small P2 and P5 images with comments in
-their headers, which ``factorize`` and ``cluster`` read as a PGM directory.
+run on non-binary data; ``tiled.csv``, whose rows repeat and none is all zero,
+so the Frobenius ``factorize`` also runs with row groups but no dark row; and
+``pgm/``, small P2 and P5 images with comments in their headers, which
+``factorize`` and ``cluster`` read as a PGM directory.
 Every file the commands write, and the stdout and stderr of each command,
 stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
 format of ``sha256sum``. Commands run with relative paths, so the outputs do
@@ -94,6 +96,8 @@ COMMANDS = (
     ("rank-scan-dual-kl-graded", ["rank-scan", "-i", "graded.csv", "-o",
                                   "scan_dual_kl_graded.json", "--r-min", "3", "--r-max", "6",
                                   "--seeds", "2", "--dual", "--loss", "kl"]),
+    ("factorize-tiled", ["factorize", "-i", "tiled.csv", "-o", "fac_tiled", "--rank", "5",
+                         "--seed", "1"]),
     ("factorize-pgm", ["factorize", "-i", "pgm", "-o", "fac_pgm", "--rank", "3",
                        "--seed", "4"]),
     ("cluster-pgm", ["cluster", "-i", "pgm", "-f", "fac_pgm", "-o", "clusters_pgm", "--k", "2"]),
@@ -108,6 +112,17 @@ def write_graded_csv(path: Path) -> None:
     rows = (",".join(str(rand.randint(1, 255)) if rand.random() < 0.6 else "0"
                      for _ in range(64)) for _ in range(48))
     path.write_text("\n".join(rows) + "\n")
+
+
+def write_tiled_csv(path: Path) -> None:
+    """A 36 x 40 matrix of integers in 0..255 from a fixed seed whose rows are
+    9 distinct rows, each used 4 times, in shuffled order; no row is all zero."""
+    rand = random.Random(2026)
+    distinct = [[255] + [rand.randint(1, 255) if rand.random() < 0.6 else 0 for _ in range(39)]
+                for _ in range(9)]
+    rows = distinct * 4
+    rand.shuffle(rows)
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def write_pgm_dir(path: Path) -> None:
@@ -245,6 +260,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True)
     write_graded_csv(out / "graded.csv")
+    write_tiled_csv(out / "tiled.csv")
     write_pgm_dir(out / "pgm")
     env = dict(os.environ, **ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
