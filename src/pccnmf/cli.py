@@ -9,6 +9,7 @@ report timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,6 +26,11 @@ def _default_seed() -> int:
         return int(value)
     except ValueError:
         raise ParameterError(f"PCCNMF_SEED must be an integer, got {value!r}") from None
+
+
+def _seed(args) -> int:
+    """``--seed``, else the ``PCCNMF_SEED`` base."""
+    return args.seed if args.seed is not None else _default_seed()
 
 
 def _seed_list(count: int, base: int) -> list[int]:
@@ -50,6 +56,18 @@ def _pixel_shape(arg: str | None):
         raise ParameterError(f"--pixel-shape must look like 13x13, got {arg!r}") from None
 
 
+def _load_unit(path) -> dataset.DataMatrix:
+    """Load a matrix for a noise command: 8-bit input is divided by 255."""
+    m = dataset.load_matrix(path)
+    return dataset.rescale(m) if m.scale == dataset.SCALE_RAW255 else m
+
+
+def _write_run(args, run: RunReport, rows, header) -> None:
+    """Write the JSON report at ``--output`` and its CSV table next to it."""
+    run.write_json(args.output)
+    dataset.write_rows(Path(args.output).with_suffix(".csv"), rows, header)
+
+
 def cmd_swimmer_gen(args) -> int:
     m = dataset.generate_swimmer()
     dataset.save_matrix(m, args.output, source="swimmer")
@@ -57,25 +75,20 @@ def cmd_swimmer_gen(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    m = dataset.load_matrix(args.input)
-    if m.scale == dataset.SCALE_RAW255:
-        m = dataset.rescale(m)
-    xi = None
+    m = _load_unit(args.input)
     seed = None
     if args.xi is not None:
-        seed = args.seed if args.seed is not None else _default_seed()
-        xi = args.xi
-        m = dataset.apply_flip_noise(m, xi, seed)
+        seed = _seed(args)
+        m = dataset.apply_flip_noise(m, args.xi, seed)
     if args.binarize:
         m = dataset.binarize(m)
-    dataset.save_matrix(m, args.output, source=str(args.input), seed=seed, xi=xi)
+    dataset.save_matrix(m, args.output, source=str(args.input), seed=seed, xi=args.xi)
     return 0
 
 
 def cmd_factorize(args) -> int:
     m = dataset.load_matrix(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
-    f = nmf.factorize(m, args.rank, args.loss, seed, _solver_options(args))
+    f = nmf.factorize(m, args.rank, args.loss, _seed(args), _solver_options(args))
     nmf.save_factorization(f, args.output)
     return 0
 
@@ -96,23 +109,19 @@ def cmd_rank_scan(args) -> int:
                     seeds=seeds,
                     input_digests={"matrix": matrix_digest(m)},
                     outputs=report.to_dict(), started=started, finished=timestamp())
-    run.write_json(args.output)
-    dataset.write_rows(Path(args.output).with_suffix(".csv"), report.curve_rows(),
-                       ["R", "seed", "valid_fraction", "dbar", "error", "rrssq",
-                        "bic1", "bic2", "bic3"])
+    _write_run(args, run, report.curve_rows(),
+               ["R", "seed", "valid_fraction", "dbar", "error", "rrssq", "bic1", "bic2", "bic3"])
     return 0
 
 
 def cmd_stability(args) -> int:
-    m = dataset.load_matrix(args.input)
     mode = args.mode.replace("-", "_")
+    m = _load_unit(args.input) if mode == "noise_split" else dataset.load_matrix(args.input)
     matching, run = stability.stability_experiment(
         m, rank=args.rank, mode=mode, xi=args.xi, seed_a=args.seed_a, seed_b=args.seed_b,
         opts=_solver_options(args))
-    run.write_json(args.output)
-    dataset.write_rows(Path(args.output).with_suffix(".csv"),
-                       stability.distance_histogram(matching.distances),
-                       ["bin_lo", "bin_hi", "count", "pct"])
+    _write_run(args, run, stability.distance_histogram(matching.distances),
+               ["bin_lo", "bin_hi", "count", "pct"])
     return 0
 
 
@@ -122,22 +131,10 @@ def cmd_analyze(args) -> int:
     pcc = probability.derive_pcc(m, f)
     if args.export_pcc:
         probability.export_pcc(pcc, args.export_pcc)
-    anti = analysis.anticorrelation_report(pcc)
-    entropies = analysis.image_entropies(pcc)
-    sparsity = analysis.sparsity_comparison(pcc)
-    payload = {
-        "rank": f.rank,
-        "seed": f.seed,
-        "loss": f.loss,
-        "r_w": anti.r_w,
-        "r_v": anti.r_v,
-        "length": anti.length,
-        "entropy_violations": entropies.violations,
-        "lhs": sparsity.lhs,
-        "rhs": sparsity.rhs,
-        "hoyer_images": sparsity.hoyer_images,
-        "hoyer_bases": sparsity.hoyer_bases,
-    }
+    payload = {"rank": f.rank, "seed": f.seed, "loss": f.loss,
+               **dataclasses.asdict(analysis.anticorrelation_report(pcc)),
+               "entropy_violations": analysis.image_entropies(pcc).violations,
+               **dataclasses.asdict(analysis.sparsity_comparison(pcc))}
     run = RunReport(command="analyze",
                     parameters={"factorization": str(args.factorization)},
                     seeds=[f.seed],
@@ -163,10 +160,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    clean = dataset.load_matrix(args.input)
-    if clean.scale == dataset.SCALE_RAW255:
-        clean = dataset.rescale(clean)
-    seed = args.seed if args.seed is not None else _default_seed()
+    clean = _load_unit(args.input)
+    seed = _seed(args)
     noisy = dataset.apply_flip_noise(clean, args.xi, seed)
     seeds = _seed_list(args.seeds, _default_seed())
     opts = _solver_options(args)
@@ -194,8 +189,7 @@ def cmd_denoise(args) -> int:
                     seeds=seeds,
                     input_digests={"matrix": matrix_digest(clean)},
                     outputs=report.to_dict(), started=started, finished=timestamp())
-    run.write_json(args.output)
-    dataset.write_rows(Path(args.output).with_suffix(".csv"), rows, header)
+    _write_run(args, run, rows, header)
     return 0
 
 
@@ -203,6 +197,9 @@ def cmd_report(args) -> int:
     bundle = {"schema": 1, "command": "report", "inputs": {}}
     for name in args.files:
         path = Path(name)
+        if path.name in bundle["inputs"]:
+            raise ParameterError(f"two inputs are named {path.name!r}; "
+                                 "the bundle keys its inputs by file name")
         try:
             text = path.read_text(encoding="utf-8")
             bundle["inputs"][path.name] = (json.loads(text) if path.suffix == ".json"

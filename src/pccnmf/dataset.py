@@ -53,6 +53,8 @@ class DataMatrix:
             raise ParameterError(f"entries exceed {limit:g} for scale={self.scale}")
         if self.pixel_shape is not None:
             height, width = self.pixel_shape
+            if height < 1 or width < 1:
+                raise ParameterError(f"pixel_shape {self.pixel_shape} has an entry below 1")
             if height * width != values.shape[0]:
                 raise ParameterError(
                     f"pixel_shape {self.pixel_shape} does not match {values.shape[0]} pixels")
@@ -141,17 +143,16 @@ def load_matrix(path) -> DataMatrix:
     else ``unit``.
     """
     path = Path(path)
-    if path.is_dir():
-        return _load_pgm_dir(path)
-    values = read_rows(path)
+    values, pixel_shape = _load_pgm_dir(path) if path.is_dir() else (read_rows(path), None)
     if np.any(values < 0):
         r, c = np.argwhere(values < 0)[0]
         raise FormatError(f"{path}: row {r}, column {c}: negative entry {values[r, c]:g}")
     scale = SCALE_RAW255 if np.any(values > 1.0) else SCALE_UNIT
-    return DataMatrix(values, pixel_shape=None, scale=scale)
+    return DataMatrix(values, pixel_shape=pixel_shape, scale=scale)
 
 
-def _load_pgm_dir(path: Path) -> DataMatrix:
+def _load_pgm_dir(path: Path) -> tuple[np.ndarray, tuple[int, int]]:
+    """The columns of every ``*.pgm`` file in ``path``, and their common image shape."""
     files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".pgm")
     if not files:
         raise FormatError(f"{path}: no .pgm files found")
@@ -164,9 +165,7 @@ def _load_pgm_dir(path: Path) -> DataMatrix:
         elif image.shape != shape:
             raise FormatError(f"{f}: size {image.shape} differs from first image {shape}")
         columns.append(image.reshape(-1))
-    values = np.column_stack(columns)
-    scale = SCALE_RAW255 if np.any(values > 1.0) else SCALE_UNIT
-    return DataMatrix(values, pixel_shape=shape, scale=scale)
+    return np.column_stack(columns), shape
 
 
 def read_rows(path) -> np.ndarray:

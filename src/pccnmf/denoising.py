@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, SolverOptions, _truncate, factorize
+from .nmf import Factorization, SolverOptions, _reconstruction, _truncate, factorize
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
@@ -33,10 +33,7 @@ def denoise_margins(clean: DataMatrix, noisy: DataMatrix, f_noisy: Factorization
     clean image than the noisy image itself.
     """
     _check_same_shape(clean, noisy)
-    recon = f_noisy.reconstruct()
-    if recon.shape != clean.values.shape:
-        raise ParameterError(
-            f"shape mismatch: data {clean.values.shape}, reconstruction {recon.shape}")
+    recon = _reconstruction(clean, f_noisy)
     to_noisy = 1.0 - _paired_cosines(clean.values, noisy.values)
     to_recon = 1.0 - _paired_cosines(clean.values, recon)
     return to_noisy - to_recon

@@ -263,12 +263,17 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
                          seed=seed, trace=np.array(trace), converged=converged)
 
 
-def frobenius_error(m: DataMatrix, f: Factorization) -> float:
-    """Squared Frobenius distance sum((P - reconstruction)^2)."""
+def _reconstruction(m: DataMatrix, f: Factorization) -> np.ndarray:
+    """``f.reconstruct()``, checked against the shape of ``m``."""
     recon = f.reconstruct()
     if recon.shape != m.values.shape:
         raise ParameterError(f"shape mismatch: data {m.values.shape}, reconstruction {recon.shape}")
-    return _squared_error(m.values, recon)
+    return recon
+
+
+def frobenius_error(m: DataMatrix, f: Factorization) -> float:
+    """Squared Frobenius distance sum((P - reconstruction)^2)."""
+    return _squared_error(m.values, _reconstruction(m, f))
 
 
 def kl_divergence(m: DataMatrix, f: Factorization) -> float:
@@ -277,9 +282,7 @@ def kl_divergence(m: DataMatrix, f: Factorization) -> float:
     Returns +inf when some positive entry of P meets an exactly-zero
     reconstruction entry.
     """
-    recon = f.reconstruct()
-    if recon.shape != m.values.shape:
-        raise ParameterError(f"shape mismatch: data {m.values.shape}, reconstruction {recon.shape}")
+    recon = _reconstruction(m, f)
     data_terms = _kl_data_terms(m.values)
     return _generalized_kl(data_terms, recon, recon.take(data_terms[0]))
 

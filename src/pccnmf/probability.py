@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import DataMatrix, write_rows
 from .errors import DegenerateInputError, ParameterError
-from .nmf import Factorization
+from .nmf import Factorization, _reconstruction
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ def marginal_residuals(m: DataMatrix, f: Factorization) -> tuple[float, float]:
     Rows/columns whose data sum is zero contribute their absolute deviation
     (the relative one is undefined there).
     """
-    recon = f.reconstruct()
-    if recon.shape != m.values.shape:
-        raise ParameterError(f"shape mismatch: data {m.values.shape}, reconstruction {recon.shape}")
+    recon = _reconstruction(m, f)
 
     def worst(data_sums, recon_sums):
         deviation = np.abs(data_sums - recon_sums)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pccnmf import DataMatrix, generate_swimmer
+from pccnmf import DataMatrix, Factorization, generate_swimmer
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +26,8 @@ def random_mixture(rng, n_pixels, n_images, rank, scale=1.0):
     weights *= scale
     values = basis @ weights
     return DataMatrix(values), basis, weights
+
+
+def make_factorization(basis, weights, loss="frobenius"):
+    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss=loss,
+                         seed=0, trace=np.array([0.0]), converged=True)

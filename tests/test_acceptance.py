@@ -14,13 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, Factorization, SolverOptions,
+from pccnmf import (DataMatrix, SolverOptions,
                     anticorrelation_report, apply_flip_noise, bic_from_error,
                     compare_with_svd, cosine_distance_matrix, denoise_margins, derive_pcc,
                     estimate_rc, factorize, find_r_range, frobenius_error, gauge_transform,
                     generate_swimmer, image_entropies, kl_divergence, marginal_residuals,
                     match_bases, mean_internal_distance, pearson, predictability_fraction,
                     swimmer_parts)
+from conftest import make_factorization
 
 N_PIXELS, N_IMAGES = 169, 256
 N_PAIRS = N_PIXELS * N_IMAGES
@@ -33,11 +34,6 @@ def report(criterion, ok, detail):
     sys.__stdout__.write("\n" + line + "\n")
     sys.__stdout__.flush()
     assert ok, line
-
-
-def make_factorization(basis, weights):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss="frobenius",
-                         seed=0, trace=np.array([0.0]), converged=True)
 
 
 @pytest.fixture(scope="module")

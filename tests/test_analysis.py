@@ -9,16 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions,
+from pccnmf import (DataMatrix, ParameterError, SolverOptions,
                     UndefinedCorrelationError, anticorrelation_report, derive_pcc,
                     error_sequences, factorize, hoyer_sparsity, image_entropies, pearson,
                     sparsity_comparison)
-from conftest import random_mixture
-
-
-def make_factorization(basis, weights):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss="frobenius",
-                         seed=0, trace=np.array([0.0]), converged=True)
+from conftest import make_factorization, random_mixture
 
 
 def pearson_oracle(x, y):

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
-                    find_r_range, load_matrix)
+                    find_r_range, load_matrix, matrix_digest, rescale)
 from pccnmf.cli import main
+from pccnmf.pgm import write_pgm
 
 
 def run(argv):
     return main(argv)
+
+
+def write_csv(path, values):
+    path.write_text("".join(",".join("%.17g" % v for v in row) + "\n" for row in values))
+    return path
 
 
 class TestExitCodes:
@@ -186,6 +192,23 @@ class TestFactorizeAnalyzeCluster:
         assert len(doc["clusters"]) == 2
         assert list(out.glob("*.pgm"))
 
+    @pytest.mark.parametrize("shape, message", [
+        ("13x13x1", "--pixel-shape must look like 13x13, got '13x13x1'"),
+        ("-13x-13", "pixel_shape (-13, -13) has an entry below 1"),
+    ], ids=["three-parts", "negative"])
+    def test_cluster_rejects_bad_pixel_shape(self, tmp_path, capsys, shape, message):
+        # 169 pixels, so -13x-13 multiplies out and used to reach the montage reshape.
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(31).random((169, 4)))
+        fac = tmp_path / "fac"
+        assert run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+                    "--max-iters", "20"]) == 0
+        out = tmp_path / "clusters"
+        assert run(["cluster", "-i", str(matrix), "-f", str(fac), "-o", str(out),
+                    "--k", "2", f"--pixel-shape={shape}"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ParameterError", "message": message}
+        assert not out.exists()
+
 
 class TestRankScan:
     def test_end_to_end_json_and_csv(self, tmp_path, rng):
@@ -205,6 +228,13 @@ class TestRankScan:
         csv_lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert csv_lines[0] == "R,seed,valid_fraction,dbar,error,rrssq,bic1,bic2,bic3"
         assert len(csv_lines) == 1 + 9
+
+    def test_default_tau_is_one_over_n_m(self, tmp_path):
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(32).random((5, 7)))
+        out = tmp_path / "scan.json"
+        assert run(["rank-scan", "-i", str(matrix), "-o", str(out), "--r-min", "1",
+                    "--r-max", "2", "--seeds", "1", "--max-iters", "20"]) == 0
+        assert json.loads(out.read_text())["parameters"]["tau"] == 1.0 / (5 * 7)
 
 
 class TestStabilityCommand:
@@ -271,6 +301,67 @@ class TestDenoiseCommand:
         for name, curve in svd.ac_curves().items():
             assert doc[name] == curve
 
+    def test_baseline_none_matches_find_r_range(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PCCNMF_SEED", raising=False)
+        values = np.random.default_rng(33).random((6, 8)) * 0.9
+        matrix = write_csv(tmp_path / "m.csv", values)
+        out = tmp_path / "den.json"
+        assert run(["denoise", "-i", str(matrix), "-o", str(out), "--xi", "0.2",
+                    "--seed", "3", "--r-lo", "1", "--r-hi", "3", "--seeds", "2",
+                    "--max-iters", "100"]) == 0
+        clean = DataMatrix(values)
+        expected = find_r_range(clean, apply_flip_noise(clean, 0.2, 3), 1, 3, seeds=[0, 1],
+                                opts=SolverOptions(max_iters=100), xi=0.2)
+        assert json.loads(out.read_text())["outputs"] == json.loads(
+            json.dumps(expected.to_dict()))
+        lines = (tmp_path / "den.csv").read_text().splitlines()
+        assert lines[0] == "R,violations,min_margin"
+        assert len(lines) == 1 + 3
+
+
+class TestGrayScaleInput:
+    """8-bit input: perturb, denoise and stability --mode noise-split divide it by 255."""
+
+    @pytest.fixture(params=["csv", "pgm"])
+    def gray(self, request, tmp_path):
+        values = np.random.default_rng(34).integers(0, 256, size=(20, 6))
+        values[0, 0] = 255
+        if request.param == "csv":
+            return write_csv(tmp_path / "gray.csv", values)
+        path = tmp_path / "pgm"
+        path.mkdir()
+        for k, column in enumerate(values.T):
+            image = column.reshape(5, 4)
+            if k % 2:
+                (path / f"img_{k}.pgm").write_bytes(
+                    b"P5\n4 5\n255\n" + image.astype(np.uint8).tobytes())
+            else:
+                write_pgm(path / f"img_{k}.pgm", image)
+        return path
+
+    @pytest.mark.parametrize("xi", [[], ["--xi", "0.1"]], ids=["default-xi", "xi-0.1"])
+    def test_stability_noise_split(self, tmp_path, gray, xi):
+        out = tmp_path / "stab.json"
+        assert run(["stability", "-i", str(gray), "-o", str(out), "--mode", "noise-split",
+                    "--rank", "2", "--max-iters", "50", *xi]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["input_digests"]["matrix"] == matrix_digest(rescale(load_matrix(gray)))
+        assert (tmp_path / "stab.csv").read_text().startswith("bin_lo,bin_hi,count,pct\n")
+
+    def test_denoise_records_the_same_digest(self, tmp_path, gray):
+        out = tmp_path / "den.json"
+        assert run(["denoise", "-i", str(gray), "-o", str(out), "--xi", "0.1", "--seed", "1",
+                    "--r-lo", "1", "--r-hi", "2", "--seeds", "1", "--max-iters", "50"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["input_digests"]["matrix"] == matrix_digest(rescale(load_matrix(gray)))
+
+    def test_seed_pair_factorizes_the_input_as_loaded(self, tmp_path, gray):
+        out = tmp_path / "stab.json"
+        assert run(["stability", "-i", str(gray), "-o", str(out), "--mode", "seed-pair",
+                    "--rank", "2", "--max-iters", "50"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["input_digests"]["matrix"] == matrix_digest(load_matrix(gray))
+
 
 class TestReportBundle:
     def test_bundles_json_and_csv(self, tmp_path):
@@ -295,6 +386,18 @@ class TestReportBundle:
         assert run(["report", "-o", str(out), str(bad)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FormatError" and name in err["message"]
+        assert not out.exists()
+
+    def test_repeated_file_name_is_1(self, tmp_path, capsys):
+        # Inputs are keyed by file name; the second used to replace the first.
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "s.json").write_text(f'{{"side": "{side}"}}\n')
+        out = tmp_path / "bundle.json"
+        assert run(["report", "-o", str(out), str(tmp_path / "a" / "s.json"),
+                    str(tmp_path / "b" / "s.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and "'s.json'" in err["message"]
         assert not out.exists()
 
 

@@ -3,13 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions, derive_pcc,
+from pccnmf import (DataMatrix, ParameterError, SolverOptions, derive_pcc,
                     export_cluster_montage, factorize, load_matrix, natural_clusters)
-
-
-def make_factorization(basis, weights):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss="frobenius",
-                         seed=0, trace=np.array([0.0]), converged=True)
+from conftest import make_factorization
 
 
 def block_mixture():

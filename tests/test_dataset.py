@@ -22,6 +22,12 @@ class TestDataMatrix:
         with pytest.raises(ParameterError, match="pixel_shape"):
             DataMatrix(np.ones((4, 2)), pixel_shape=(3, 3))
 
+    @pytest.mark.parametrize("shape", [(-13, -13), (-1, -169), (0, 5)])
+    def test_rejects_pixel_shape_entry_below_1(self, shape):
+        # (-13, -13) multiplies out to the 169 pixels and used to pass.
+        with pytest.raises(ParameterError, match="below 1"):
+            DataMatrix(np.ones((169, 2)), pixel_shape=shape)
+
     def test_values_are_frozen(self):
         m = DataMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -180,6 +186,51 @@ class TestPgmDir:
         (tmp_path / "b.pgm").write_text("P2\n3 1\n255\n0 0 0\n")
         with pytest.raises(FormatError, match="differs"):
             load_matrix(tmp_path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "empty file"),
+        (b"# only a comment\n", "empty file"),
+        (b"P3\n1 1\n255\n0\n", "unsupported magic"),
+        (b"P2\n2\n", "malformed header"),
+        (b"P2\nx 1\n255\n0\n", "malformed header"),
+        (b"P2\n0 1\n255\n", "bad dimensions or maxval"),
+        (b"P2\n1 1\n0\n0\n", "bad dimensions or maxval"),
+        (b"P2\n1 1\n65536\n0\n", "bad dimensions or maxval"),
+        (b"P2\n2 1\n255\n1 x\n", "non-integer sample b'x' at byte 13"),
+        (b"P2\n2 1\n255\n1\n", "expected 2 samples, found 1"),
+        (b"P2\n2 1\n255\n1 2 3\n", "expected 2 samples, found 3"),
+        (b"P5\n2 2\n255\n\x01\x02", r"raster truncated \(2 of 4 bytes\)"),
+        (b"P5\n2 1\n65535\n\x00\x01\x00", "raster truncated"),
+        (b"P2\n2 1\n10\n5 11\n", "sample exceeds maxval 10"),
+        (b"P5\n1 1\n10\n\x0b", "sample exceeds maxval 10"),
+    ], ids=["empty", "comment-only", "bad-magic", "short-header", "non-integer-width",
+            "zero-width", "zero-maxval", "maxval-too-large", "non-integer-sample",
+            "too-few-samples", "too-many-samples", "truncated-8-bit", "truncated-16-bit",
+            "p2-above-maxval", "p5-above-maxval"])
+    def test_malformed_file_rejected(self, tmp_path, data, message):
+        (tmp_path / "a.pgm").write_bytes(data)
+        with pytest.raises(FormatError, match=message) as exc:
+            load_matrix(tmp_path)
+        assert "a.pgm" in str(exc.value)
+
+    def test_p5_16_bit_matches_its_p2_twin(self, tmp_path):
+        samples = [0, 7, 200, 255, 128, 1]
+        p2, p5 = tmp_path / "p2", tmp_path / "p5"
+        p2.mkdir()
+        p5.mkdir()
+        (p2 / "a.pgm").write_text("P2\n3 2\n65535\n" + " ".join(map(str, samples)) + "\n")
+        (p5 / "a.pgm").write_bytes(b"P5\n3 2\n65535\n"
+                                   + np.array(samples, dtype=">u2").tobytes())
+        plain, binary = load_matrix(p2), load_matrix(p5)
+        np.testing.assert_array_equal(binary.values[:, 0], samples)
+        np.testing.assert_array_equal(binary.values, plain.values)
+        assert binary.pixel_shape == plain.pixel_shape == (2, 3)
+        assert binary.scale == plain.scale == "raw255"
+
+    def test_write_rejects_non_2d_image(self, tmp_path):
+        with pytest.raises(FormatError, match="2-d"):
+            write_pgm(tmp_path / "a.pgm", np.zeros(4))
+        assert not (tmp_path / "a.pgm").exists()
 
 
 class TestRescale:

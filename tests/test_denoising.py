@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions, accuracy,
+from pccnmf import (DataMatrix, ParameterError, SolverOptions, accuracy,
                     apply_flip_noise, compare_with_svd, cosine_distance_matrix, denoising,
                     denoise_margins, find_r_range, truncated_svd)
-
-
-def make_factorization(basis, weights):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss="frobenius",
-                         seed=0, trace=np.array([0.0]), converged=True)
+from conftest import make_factorization
 
 
 def cosine_oracle(a, b):

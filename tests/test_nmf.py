@@ -11,7 +11,7 @@ from pccnmf import (DataMatrix, DegenerateInputError, Factorization, FormatError
                     gauge_transform, kl_divergence, load_factorization, rrssq,
                     save_factorization, truncated_svd)
 from pccnmf.nmf import _FLOOR
-from conftest import random_mixture
+from conftest import make_factorization, random_mixture
 
 
 def frobenius_oracle(data, recon):
@@ -124,11 +124,6 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
             converged = True
             break
     return full_basis(), weights, np.array(trace), converged
-
-
-def make_factorization(basis, weights, loss="frobenius"):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss=loss,
-                         seed=0, trace=np.array([0.0]), converged=True)
 
 
 class TestLossFunctions:

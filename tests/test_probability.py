@@ -3,15 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, DegenerateInputError, Factorization, SolverOptions,
+from pccnmf import (DataMatrix, DegenerateInputError, SolverOptions,
                     derive_pcc, export_pcc, factorize, gauge_transform, marginal_residuals,
                     pcc_summary, to_joint)
-from conftest import random_mixture
-
-
-def make_factorization(basis, weights, loss="frobenius"):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss=loss,
-                         seed=0, trace=np.array([0.0]), converged=True)
+from conftest import make_factorization, random_mixture
 
 
 class TestToJoint:

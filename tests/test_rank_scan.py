@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, DegenerateInputError, Factorization, ParameterError,
+from pccnmf import (DataMatrix, DegenerateInputError, ParameterError,
                     SolverOptions, bic_from_error, derive_pcc, dual_predictability_fraction,
                     estimate_rc, estimate_rc_dual, factorize, frobenius_error,
                     gauge_transform, mean_internal_distance, predictability_fraction, rrssq)
-from conftest import random_mixture
-
-
-def make_factorization(basis, weights):
-    return Factorization(basis=basis, weights=weights, rank=basis.shape[1], loss="frobenius",
-                         seed=0, trace=np.array([0.0]), converged=True)
+from conftest import make_factorization, random_mixture
 
 
 def bracket_fraction_oracle(cond_pixel_given_image, cond_pixel_given_basis,

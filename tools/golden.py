@@ -9,7 +9,9 @@ there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
 run on non-binary data; ``tiled.csv``, whose rows repeat and none is all zero,
 so the Frobenius ``factorize`` also runs with row groups but no dark row; and
 ``pgm/``, small P2 and P5 images with comments in their headers, which
-``factorize`` and ``cluster`` read as a PGM directory.
+``factorize`` and ``cluster`` read as a PGM directory. ``stability --mode
+noise-split`` runs on ``graded.csv`` and on ``pgm/``, which pins how 8-bit
+input is divided by 255 before noise is added.
 Every file the commands write, and the stdout and stderr of each command,
 stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
 format of ``sha256sum``. Commands run with relative paths, so the outputs do
@@ -100,6 +102,11 @@ COMMANDS = (
                          "--seed", "1"]),
     ("factorize-pgm", ["factorize", "-i", "pgm", "-o", "fac_pgm", "--rank", "3",
                        "--seed", "4"]),
+    ("stability-noise-split-graded", ["stability", "-i", "graded.csv", "-o",
+                                      "stab_noise_graded.json", "--mode", "noise-split",
+                                      "--rank", "4", "--xi", "0.1"]),
+    ("stability-noise-split-pgm", ["stability", "-i", "pgm", "-o", "stab_noise_pgm.json",
+                                   "--mode", "noise-split", "--rank", "2"]),
     ("cluster-pgm", ["cluster", "-i", "pgm", "-f", "fac_pgm", "-o", "clusters_pgm", "--k", "2"]),
     ("report", ["report", "-o", "bundle.json", "scan.json", "denoise_svd.json",
                 "stab_seed_60.json"]),
