@@ -30,10 +30,10 @@ def main():
               f"max={s['max']:.4f} min={s['min']:.4f}")
 
     print("\nnoise-split stability (xi=0.25 on the second half), R=14:")
-    matching, report = stability_experiment(swimmer, rank=14, mode="noise_split",
-                                            xi=0.25, seed_a=0, seed_b=7, opts=opts)
+    matching, _ = stability_experiment(swimmer, rank=14, mode="noise_split",
+                                       xi=0.25, seed_a=0, seed_b=7, opts=opts)
     print_histogram(distance_histogram(matching.distances))
-    print(f"  stats: {report.outputs['matching']['stats']}")
+    print(f"  stats: {matching.stats}")
 
 
 if __name__ == "__main__":

@@ -62,9 +62,14 @@ def _load_unit(path) -> dataset.DataMatrix:
     return dataset.rescale(m) if m.scale == dataset.SCALE_RAW255 else m
 
 
-def _write_run(args, run: RunReport, rows, header) -> None:
-    """Write the JSON report at ``--output`` and its CSV table next to it."""
-    run.write_json(args.output)
+def _write_run(args, command: str, parameters: dict, seeds, m, started: str, outputs: dict,
+               rows, header) -> None:
+    """Write the run record at ``--output`` and its CSV table next to it. The record
+    adds the solver options to ``parameters`` and names the digest of ``m``."""
+    RunReport(command=command,
+              parameters={**parameters, "max_iters": args.max_iters, "tol": args.tol},
+              seeds=seeds, input_digests={"matrix": matrix_digest(m)}, outputs=outputs,
+              started=started, finished=timestamp()).write_json(args.output)
     dataset.write_rows(Path(args.output).with_suffix(".csv"), rows, header)
 
 
@@ -102,14 +107,10 @@ def cmd_rank_scan(args) -> int:
     scan = rank_scan.estimate_rc_dual if args.dual else rank_scan.estimate_rc
     started = timestamp()
     report = scan(m, tau, args.r_min, args.r_max, seeds, args.loss, _solver_options(args))
-    run = RunReport(command="rank-scan",
-                    parameters={"r_min": args.r_min, "r_max": args.r_max, "tau": tau,
-                                "loss": args.loss, "dual": args.dual,
-                                "max_iters": args.max_iters, "tol": args.tol},
-                    seeds=seeds,
-                    input_digests={"matrix": matrix_digest(m)},
-                    outputs=report.to_dict(), started=started, finished=timestamp())
-    _write_run(args, run, report.curve_rows(),
+    _write_run(args, "rank-scan",
+               {"r_min": args.r_min, "r_max": args.r_max, "tau": tau, "loss": args.loss,
+                "dual": args.dual},
+               seeds, m, started, report.to_dict(), report.curve_rows(),
                ["R", "seed", "valid_fraction", "dbar", "error", "rrssq", "bic1", "bic2", "bic3"])
     return 0
 
@@ -117,11 +118,18 @@ def cmd_rank_scan(args) -> int:
 def cmd_stability(args) -> int:
     mode = args.mode.replace("-", "_")
     m = _load_unit(args.input) if mode == "noise_split" else dataset.load_matrix(args.input)
-    matching, run = stability.stability_experiment(
+    started = timestamp()
+    matching, fits = stability.stability_experiment(
         m, rank=args.rank, mode=mode, xi=args.xi, seed_a=args.seed_a, seed_b=args.seed_b,
         opts=_solver_options(args))
-    _write_run(args, run, stability.distance_histogram(matching.distances),
-               ["bin_lo", "bin_hi", "count", "pct"])
+    histogram = stability.distance_histogram(matching.distances)
+    _write_run(args, "stability_experiment",
+               {"rank": args.rank, "mode": mode, "xi": args.xi, "seed_a": args.seed_a,
+                "seed_b": args.seed_b, "loss": nmf.LOSS_FROBENIUS},
+               [args.seed_a, args.seed_b], m, started,
+               {"matching": matching.to_dict(), "histogram": histogram,
+                "final_losses": [float(f.trace[-1]) for f in fits]},
+               histogram, ["bin_lo", "bin_hi", "count", "pct"])
     return 0
 
 
@@ -146,8 +154,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_cluster(args) -> int:
     m = dataset.load_matrix(args.input)
-    if m.pixel_shape is None and args.pixel_shape:
-        m = dataset.DataMatrix(m.values, _pixel_shape(args.pixel_shape), m.scale)
+    shape = _pixel_shape(args.pixel_shape)
+    if shape is not None:
+        if m.pixel_shape not in (None, shape):
+            raise ParameterError(f"--pixel-shape {args.pixel_shape} differs from the images' "
+                                 f"shape {m.pixel_shape}")
+        m = dataset.DataMatrix(m.values, shape, m.scale)
     f = nmf.load_factorization(args.factorization)
     pcc = probability.derive_pcc(m, f)
     report = clustering.natural_clusters(pcc, k=args.k, require_positive=args.require_positive)
@@ -181,15 +193,10 @@ def cmd_denoise(args) -> int:
                                         xi=args.xi)
         header = ["R", "violations", "min_margin"]
         rows = [(e.rank, e.violations, e.min_margin) for e in report.entries]
-    run = RunReport(command="denoise",
-                    parameters={"xi": args.xi, "r_lo": args.r_lo, "r_hi": args.r_hi,
-                                "exclusions": args.exclusions, "baseline": args.baseline,
-                                "noise_seed": seed, "max_iters": args.max_iters,
-                                "tol": args.tol},
-                    seeds=seeds,
-                    input_digests={"matrix": matrix_digest(clean)},
-                    outputs=report.to_dict(), started=started, finished=timestamp())
-    _write_run(args, run, rows, header)
+    _write_run(args, "denoise",
+               {"xi": args.xi, "r_lo": args.r_lo, "r_hi": args.r_hi,
+                "exclusions": args.exclusions, "baseline": args.baseline, "noise_seed": seed},
+               seeds, clean, started, report.to_dict(), rows, header)
     return 0
 
 

@@ -53,6 +53,9 @@ class DataMatrix:
             raise ParameterError(f"entries exceed {limit:g} for scale={self.scale}")
         if self.pixel_shape is not None:
             height, width = self.pixel_shape
+            if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                   for n in (height, width)):
+                raise ParameterError(f"pixel_shape {self.pixel_shape} has a non-integer entry")
             if height < 1 or width < 1:
                 raise ParameterError(f"pixel_shape {self.pixel_shape} has an entry below 1")
             if height * width != values.shape[0]:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import ParameterError
-from .nmf import Factorization, SolverOptions, _reconstruction, _truncate, factorize
+from .nmf import (Factorization, SolverOptions, _check_grid, _reconstruction, _truncate,
+                  factorize)
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
@@ -122,18 +123,10 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
            xi, with_ac: bool) -> DenoiseReport:
     """Factorize ``noisy`` (Frobenius loss) once per (rank, seed) and build the report
     from those runs."""
-    ranks = tuple(ranks)
-    seeds = tuple(seeds)
     _check_same_shape(clean, noisy)
-    if not ranks:
-        raise ParameterError("no ranks to scan")
-    limit = min(noisy.n_pixels, noisy.n_images)
-    if min(ranks) < 1 or max(ranks) > limit:
-        raise ParameterError(f"ranks must lie in [1, {limit}]")
+    ranks, seeds = _check_grid(noisy, ranks, seeds)
     if exclusions < 0:
         raise ParameterError("exclusions must be >= 0")
-    if not seeds:
-        raise ParameterError("seeds must be non-empty")
     # One SVD of the noisy matrix serves every rank.
     svd = np.linalg.svd(noisy.values, full_matrices=False) if with_ac else None
 

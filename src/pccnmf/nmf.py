@@ -33,10 +33,11 @@ flat indices of the support of P, P on them and the sum of P are computed once
 per run. Each half-update gathers B W on the support only, floors and divides
 there, and writes the result into a ratio buffer whose other entries stay 0.
 The gather of the sweep's B W serves both its loss and the next sweep's basis
-update. The four products with the factors and the sum of B W in the loss
-stay full-matrix, so factors and traces equal those of the dense update bit
-for bit. The last trace entry is always the direct value, equal to
-:func:`frobenius_error` or :func:`kl_divergence` of the result.
+update, and B W is written into one buffer made once per run. The four
+products with the factors and the sum of B W in the loss stay full-matrix, so
+factors and traces equal those of the dense update bit for bit. The last
+trace entry is always the direct value, equal to :func:`frobenius_error` or
+:func:`kl_divergence` of the result.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ def _with_dark_rows(basis: np.ndarray, lit: np.ndarray, n_pixels: int) -> np.nda
     return full
 
 
+def _check_grid(m: DataMatrix, ranks, seeds) -> tuple[tuple, tuple]:
+    """The (rank, seed) grid of a scan over ``m`` as two tuples, checked."""
+    ranks, seeds = tuple(ranks), tuple(seeds)
+    if not ranks:
+        raise ParameterError("no ranks to scan")
+    limit = min(m.n_pixels, m.n_images)
+    if min(ranks) < 1 or max(ranks) > limit:
+        raise ParameterError(f"ranks must lie in [1, {limit}]")
+    if not seeds:
+        raise ParameterError("seeds must be non-empty")
+    return ranks, seeds
+
+
 def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 0,
               opts: SolverOptions | None = None) -> Factorization:
     """Run seeded multiplicative updates on ``m`` at the given rank.
@@ -243,11 +257,14 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
             flat_ratio[support] = data_pos / np.maximum(product_pos, _FLOOR)
             basis = basis * (ratio @ weights.T) / np.maximum(weights.sum(axis=1), _FLOOR)
             basis = np.maximum(basis, _FLOOR)
-            flat_ratio[support] = data_pos / np.maximum((basis @ weights).take(support), _FLOOR)
+            # BW goes into one N x M buffer: a fresh array twice per sweep made the
+            # sweep's time depend on where the allocator put it (up to 1.3x).
+            np.matmul(basis, weights, out=product)
+            flat_ratio[support] = data_pos / np.maximum(product.take(support), _FLOOR)
             weights = weights * (basis.T @ ratio) / np.maximum(
                 basis.sum(axis=0)[:, None], _FLOOR)
             weights = np.maximum(weights, _FLOOR)
-            product = basis @ weights
+            np.matmul(basis, weights, out=product)
             product_pos = product.take(support)
             current = _generalized_kl(data_terms, product, product_pos)
         previous = trace[-1]

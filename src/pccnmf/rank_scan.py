@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import DegenerateInputError, ParameterError
-from .nmf import Factorization, LOSS_FROBENIUS, SolverOptions, factorize, frobenius_error
+from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _check_grid, factorize,
+                  frobenius_error)
 from .probability import PccModel, derive_pcc
 from .stability import cosine_distance_matrix
 
@@ -180,19 +181,9 @@ class RankScanReport:
 
 def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
           opts: SolverOptions | None, dual: bool) -> RankScanReport:
-    if r_min < 1:
-        raise ParameterError("r_min must be >= 1")
-    if r_max < r_min:
-        raise ParameterError("r_max must be >= r_min")
-    if r_max > min(m.n_pixels, m.n_images):
-        raise ParameterError(f"r_max exceeds min(N, M) = {min(m.n_pixels, m.n_images)}")
+    ranks, seeds = _check_grid(m, range(r_min, r_max + 1), seeds)
     if not 0.0 <= tau < 1.0:
         raise ParameterError("tau must lie in [0, 1)")
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ParameterError("seeds must be non-empty")
-
-    ranks = tuple(range(r_min, r_max + 1))
 
     def one(rank, seed):
         f = factorize(m, rank, loss, seed, opts)

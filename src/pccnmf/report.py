@@ -1,4 +1,4 @@
-"""Serializable run records shared by the CLI and the experiment drivers."""
+"""Serializable run records, written by the CLI."""
 
 from __future__ import annotations
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .dataset import DataMatrix, apply_flip_noise
 from .errors import ParameterError
-from .nmf import LOSS_FROBENIUS, SolverOptions, factorize
-from .report import RunReport, matrix_digest, timestamp
+from .nmf import Factorization, SolverOptions, factorize
 
 
 def _peak_scaled(a: np.ndarray) -> np.ndarray:
@@ -266,8 +265,11 @@ def distance_histogram(distances: np.ndarray) -> list[tuple[float, float, int, f
 
 def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
                          seed_a: int = 0, seed_b: int = 1,
-                         opts: SolverOptions | None = None) -> tuple[Matching, RunReport]:
+                         opts: SolverOptions | None = None
+                         ) -> tuple[Matching, tuple[Factorization, Factorization]]:
     """Factorize two related views of ``m`` (Frobenius loss) and match their bases.
+
+    Returns the matching and the two factorizations, first view first.
 
     mode="noise_split": split columns in half, flip-noise the second half
     with intensity xi (noise stream seeded by seed_b), factorize both halves
@@ -275,7 +277,6 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
     mode="seed_pair": factorize the full matrix twice, with seeds seed_a and
     seed_b.
     """
-    started = timestamp()
     if mode == "noise_split":
         if m.n_images % 2 != 0:
             raise ParameterError(f"noise_split needs an even number of images, got {m.n_images}")
@@ -290,19 +291,4 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
     else:
         raise ParameterError(f"unknown mode {mode!r} (want 'noise_split' or 'seed_pair')")
 
-    matching = match_bases(f1.basis, f2.basis)
-    report = RunReport(
-        command="stability_experiment",
-        parameters={"rank": rank, "mode": mode, "xi": xi, "seed_a": seed_a,
-                    "seed_b": seed_b, "loss": LOSS_FROBENIUS},
-        seeds=[seed_a, seed_b],
-        input_digests={"matrix": matrix_digest(m)},
-        outputs={
-            "matching": matching.to_dict(),
-            "histogram": [list(row) for row in distance_histogram(matching.distances)],
-            "final_losses": [float(f1.trace[-1]), float(f2.trace[-1])],
-        },
-        started=started,
-        finished=timestamp(),
-    )
-    return matching, report
+    return match_bases(f1.basis, f2.basis), (f1, f2)

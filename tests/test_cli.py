@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
-                    find_r_range, load_matrix, matrix_digest, rescale)
+                    find_r_range, load_matrix, matrix_digest, rescale, stability_experiment)
 from pccnmf.cli import main
 from pccnmf.pgm import write_pgm
 
@@ -209,6 +209,29 @@ class TestFactorizeAnalyzeCluster:
         assert err == {"error": "ParameterError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ("abc", "--pixel-shape must look like 13x13, got 'abc'"),
+        ("2x6", "--pixel-shape 2x6 differs from the images' shape (3, 4)"),
+    ], ids=["unparsable", "mismatched"])
+    def test_cluster_checks_pixel_shape_on_pgm_input(self, tmp_path, capsys, shape, message):
+        images = tmp_path / "pgm"
+        images.mkdir()
+        for k, image in enumerate(np.random.default_rng(36).integers(1, 256, size=(4, 3, 4))):
+            write_pgm(images / f"img_{k}.pgm", image)
+        fac = tmp_path / "fac"
+        assert run(["factorize", "-i", str(images), "-o", str(fac), "--rank", "2",
+                    "--max-iters", "20"]) == 0
+        out = tmp_path / "clusters"
+        assert run(["cluster", "-i", str(images), "-f", str(fac), "-o", str(out),
+                    "--k", "1", "--pixel-shape", "3x4"]) == 0
+        assert list(out.glob("*.pgm"))
+        out = tmp_path / "clusters_bad"
+        assert run(["cluster", "-i", str(images), "-f", str(fac), "-o", str(out),
+                    "--k", "1", "--pixel-shape", shape]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ParameterError", "message": message}
+        assert not out.exists()
+
 
 class TestRankScan:
     def test_end_to_end_json_and_csv(self, tmp_path, rng):
@@ -251,6 +274,25 @@ class TestStabilityCommand:
         hist = (tmp_path / "stab.csv").read_text().splitlines()
         assert hist[0] == "bin_lo,bin_hi,count,pct"
         assert len(hist) == 1 + 21
+
+    @pytest.mark.parametrize("mode, xi", [("seed-pair", 0.0), ("noise-split", 0.25)])
+    def test_record_names_solver_options(self, tmp_path, mode, xi):
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(37).random((8, 10)))
+        out = tmp_path / "stab.json"
+        assert run(["stability", "-i", str(matrix), "-o", str(out), "--mode", mode,
+                    "--rank", "3", "--xi", str(xi), "--max-iters", "50", "--tol", "1e-9"]) == 0
+        doc = json.loads(out.read_text())
+        mode = mode.replace("-", "_")
+        assert doc["command"] == "stability_experiment"
+        assert doc["parameters"] == {"rank": 3, "mode": mode, "xi": xi, "seed_a": 0,
+                                     "seed_b": 1, "loss": "frobenius", "max_iters": 50,
+                                     "tol": 1e-9}
+        assert doc["seeds"] == [0, 1]
+        matching, fits = stability_experiment(load_matrix(matrix), rank=3, mode=mode, xi=xi,
+                                              opts=SolverOptions(max_iters=50, rel_tol=1e-9))
+        assert doc["outputs"]["matching"] == json.loads(json.dumps(matching.to_dict()))
+        assert doc["outputs"]["final_losses"] == [float(f.trace[-1]) for f in fits]
+        assert len(doc["outputs"]["histogram"]) == 21
 
 
 class TestDenoiseCommand:

@@ -28,6 +28,16 @@ class TestDataMatrix:
         with pytest.raises(ParameterError, match="below 1"):
             DataMatrix(np.ones((169, 2)), pixel_shape=shape)
 
+    @pytest.mark.parametrize("shape", [(2.5, 2.4), (2.0, 3), (True, 6), (2, "3")])
+    def test_rejects_non_integer_pixel_shape(self, shape):
+        # (2.5, 2.4) multiplies out to the 6 pixels and used to reach the montage reshape.
+        with pytest.raises(ParameterError, match="non-integer"):
+            DataMatrix(np.ones((6, 2)), pixel_shape=shape)
+
+    def test_accepts_numpy_integer_pixel_shape(self):
+        m = DataMatrix(np.ones((6, 2)), pixel_shape=(np.int64(2), np.int32(3)))
+        assert m.pixel_shape == (2, 3)
+
     def test_values_are_frozen(self):
         m = DataMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):

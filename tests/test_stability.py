@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccnmf import (ParameterError, SolverOptions, cosine_distance, cosine_distance_matrix,
-                    distance_histogram, lexicographic_assignment, match_bases,
-                    solve_assignment, stability_experiment)
+from pccnmf import (ParameterError, SolverOptions, apply_flip_noise, cosine_distance,
+                    cosine_distance_matrix, distance_histogram, factorize,
+                    lexicographic_assignment, match_bases, solve_assignment,
+                    stability_experiment)
 from pccnmf import stability
 
 
@@ -308,29 +309,36 @@ class TestDistanceHistogram:
 
 class TestStabilityExperiment:
     def test_seed_pair_identical_seeds(self, swimmer):
-        matching, report = stability_experiment(
+        matching, (f1, f2) = stability_experiment(
             swimmer, rank=5, mode="seed_pair", seed_a=3, seed_b=3,
             opts=SolverOptions(max_iters=60, rel_tol=1e-12))
         assert matching.total <= 1e-10
-        assert report.outputs["matching"]["total"] <= 1e-10
+        assert matching.to_dict()["total"] <= 1e-10
+        assert np.array_equal(f1.basis, f2.basis)
 
     def test_seed_pair_stats_schema(self, swimmer):
-        matching, report = stability_experiment(
+        matching, (f1, f2) = stability_experiment(
             swimmer, rank=6, mode="seed_pair", seed_a=0, seed_b=1,
             opts=SolverOptions(max_iters=120, rel_tol=1e-10))
         assert set(matching.stats) == {"mean", "median", "max", "min"}
-        assert len(report.outputs["histogram"]) == 21
-        assert report.parameters["mode"] == "seed_pair"
-        assert report.seeds == [0, 1]
+        assert len(distance_histogram(matching.distances)) == 21
+        # Both fits are of the full matrix, one per seed.
+        assert (f1.seed, f2.seed) == (0, 1)
+        assert f1.weights.shape == f2.weights.shape == (6, swimmer.n_images)
 
     def test_noise_split_protocol(self, swimmer):
-        matching, report = stability_experiment(
-            swimmer, rank=8, mode="noise_split", xi=0.25, seed_a=0, seed_b=7,
-            opts=SolverOptions(max_iters=150, rel_tol=1e-10))
+        opts = SolverOptions(max_iters=150, rel_tol=1e-10)
+        matching, (f1, f2) = stability_experiment(
+            swimmer, rank=8, mode="noise_split", xi=0.25, seed_a=0, seed_b=7, opts=opts)
         assert len(matching.distances) == 8
         assert np.all(matching.distances >= -1e-12)
         assert np.all(matching.distances <= 2.0)
-        assert report.parameters["xi"] == 0.25
+        # The second half carries flip noise at xi=0.25 from the seed_b stream.
+        half = swimmer.n_images // 2
+        noisy = apply_flip_noise(swimmer.replace_values(swimmer.values[:, half:]), 0.25, seed=7)
+        expected = factorize(noisy, 8, seed=0, opts=opts)
+        assert np.array_equal(f2.basis, expected.basis)
+        assert f1.weights.shape == (8, half)
 
     def test_seed_pair_median_below_max_image_distance(self, swimmer):
         # Two seeds at the mid-range rank give bases whose matched distances

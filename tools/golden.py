@@ -11,7 +11,9 @@ so the Frobenius ``factorize`` also runs with row groups but no dark row; and
 ``pgm/``, small P2 and P5 images with comments in their headers, which
 ``factorize`` and ``cluster`` read as a PGM directory. ``stability --mode
 noise-split`` runs on ``graded.csv`` and on ``pgm/``, which pins how 8-bit
-input is divided by 255 before noise is added.
+input is divided by 255 before noise is added, and one ``stability`` command
+runs at a non-default ``--max-iters`` and ``--tol``, which pins how the run
+record names its solver options.
 Every file the commands write, and the stdout and stderr of each command,
 stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
 format of ``sha256sum``. Commands run with relative paths, so the outputs do
@@ -108,6 +110,9 @@ COMMANDS = (
     ("stability-noise-split-pgm", ["stability", "-i", "pgm", "-o", "stab_noise_pgm.json",
                                    "--mode", "noise-split", "--rank", "2"]),
     ("cluster-pgm", ["cluster", "-i", "pgm", "-f", "fac_pgm", "-o", "clusters_pgm", "--k", "2"]),
+    ("stability-seed-pair-options", ["stability", "-i", "swim.csv", "-o", "stab_seed_opts.json",
+                                     "--mode", "seed-pair", "--rank", "14", "--max-iters", "300",
+                                     "--tol", "1e-8"]),
     ("report", ["report", "-o", "bundle.json", "scan.json", "denoise_svd.json",
                 "stab_seed_60.json"]),
 )
