@@ -7,6 +7,17 @@ and entropy diagnostics, common-cause clustering, and dictionary denoising.
 Ships with a deterministic synthetic Swimmer dataset for end-to-end checks.
 """
 
+import os as _os
+
+# The update sweep's products are small (169 x 256 on the Swimmer), and handing
+# each to a second BLAS thread costs more than it saves. So OpenBLAS runs on one
+# thread unless the caller set a thread variable; this takes effect only when
+# pccnmf is imported before numpy.
+if not any(name in _os.environ for name in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .analysis import (AnticorrelationReport, EntropyReport, ErrorSequences, SparsityReport,
                        anticorrelation_report, error_sequences, hoyer_sparsity,
                        image_entropies, pearson, sparsity_comparison)

@@ -52,7 +52,12 @@ class DataMatrix:
         if np.any(values > limit):
             raise ParameterError(f"entries exceed {limit:g} for scale={self.scale}")
         if self.pixel_shape is not None:
-            height, width = self.pixel_shape
+            shape = tuple(self.pixel_shape) if np.iterable(self.pixel_shape) else ()
+            if len(shape) != 2:
+                raise ParameterError(
+                    f"pixel_shape {self.pixel_shape!r} must have two entries, (height, width)")
+            object.__setattr__(self, "pixel_shape", shape)
+            height, width = shape
             if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
                    for n in (height, width)):
                 raise ParameterError(f"pixel_shape {self.pixel_shape} has a non-integer entry")

@@ -182,8 +182,10 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
               opts: SolverOptions | None = None) -> Factorization:
     """Run seeded multiplicative updates on ``m`` at the given rank.
 
-    Deterministic for fixed (matrix, rank, loss, seed, opts) in
-    single-threaded execution. Both factors are initialized i.i.d. uniform on
+    Deterministic for fixed (matrix, rank, loss, seed, opts), and the result
+    does not depend on the BLAS thread count (checked by
+    ``tests/test_nmf.py::TestLossTrace::test_frobenius_trace_independent_of_blas_threads``
+    and by ``tools/golden.py``). Both factors are initialized i.i.d. uniform on
     (0, 1] scaled by sqrt(mean(P)/rank), basis drawn before weights.
     """
     if opts is None:

@@ -34,6 +34,14 @@ class TestDataMatrix:
         with pytest.raises(ParameterError, match="non-integer"):
             DataMatrix(np.ones((6, 2)), pixel_shape=shape)
 
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 3), 6])
+    def test_rejects_pixel_shape_without_two_entries(self, shape):
+        with pytest.raises(ParameterError, match="two entries"):
+            DataMatrix(np.ones((6, 2)), pixel_shape=shape)
+
+    def test_pixel_shape_is_stored_as_a_tuple(self):
+        assert DataMatrix(np.ones((6, 2)), pixel_shape=[2, 3]).pixel_shape == (2, 3)
+
     def test_accepts_numpy_integer_pixel_shape(self):
         m = DataMatrix(np.ones((6, 2)), pixel_shape=(np.int64(2), np.int32(3)))
         assert m.pixel_shape == (2, 3)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,30 @@ from pccnmf import (DataMatrix, DegenerateInputError, Factorization, FormatError
                     save_factorization, truncated_svd)
 from pccnmf.nmf import _FLOOR
 from conftest import make_factorization, random_mixture
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def run_python(script, env):
+    """Stdout of ``python -c script`` under ``env``, with this checkout's src/ first
+    on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=dict(env, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("given, expected", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "openblas-2", "omp-2"])
+def test_import_runs_blas_on_one_thread_unless_caller_sets_threads(given, expected):
+    # pccnmf sets OPENBLAS_NUM_THREADS only when no BLAS thread variable is
+    # set; a caller's own value, for OpenBLAS or for any other, wins.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    script = "import json, os, pccnmf; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert json.loads(run_python(script, dict(env, **given))) == expected
 
 
 def frobenius_oracle(data, recon):
@@ -322,22 +347,22 @@ class TestLossTrace:
         values[25] *= 1e-14
         self.assert_matches_reference(DataMatrix(values), 6, "kl", seed=0)
 
-    def test_frobenius_trace_independent_of_blas_threads(self):
+    @pytest.mark.parametrize("matrix, rank, loss", [
+        ("generate_swimmer()", 60, "frobenius"),
+        ("apply_flip_noise(generate_swimmer(), 0.05, seed=11)", 16, "kl"),
+        ("apply_flip_noise(generate_swimmer(), 0.05, seed=11)", 16, "frobenius"),
+    ], ids=["clean-frobenius-60", "noisy-kl-16", "noisy-frobenius-16"])
+    def test_frobenius_trace_independent_of_blas_threads(self, matrix, rank, loss):
         # The Gram-form loss is summed by numpy, not by a BLAS dot, whose
-        # bits depend on the thread count; at rank 60 they did.
-        script = ("import hashlib; from pccnmf import SolverOptions, factorize, generate_swimmer;"
-                  "f = factorize(generate_swimmer(), 60, seed=0,"
+        # bits depend on the thread count; at rank 60 they did. On the noisy
+        # Swimmer every row is lit, so the full products run on two threads.
+        script = ("import hashlib; from pccnmf import *;"
+                  f"f = factorize({matrix}, {rank}, {loss!r}, seed=0,"
                   " opts=SolverOptions(max_iters=300, rel_tol=1e-12));"
                   "print(len(f.trace), hashlib.sha256(f.trace.tobytes()).hexdigest(),"
                   " hashlib.sha256(f.basis.tobytes() + f.weights.tobytes()).hexdigest())")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  text=True, check=True)
-            outputs.append(done.stdout)
+        outputs = [run_python(script, dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+                   for threads in ("1", "2")]
         assert outputs[0].startswith("301 ")
         assert outputs[0] == outputs[1]
 

@@ -21,7 +21,10 @@ not depend on where OUTDIR is. The
 ``analyze --export-pcc`` command runs twice more with ``OPENBLAS_NUM_THREADS``
 pinned at 1 and at 2; equal digests for ``analysis_blas1.json`` and
 ``analysis_blas2.json`` (and for ``pcc_blas1/`` and ``pcc_blas2/``) show that
-the analysis does not depend on the BLAS thread count.
+the analysis does not depend on the BLAS thread count. The KL ``rank-scan
+--dual`` on ``noisy.csv`` runs twice more in the same way, and equal digests
+for ``scan_dual_kl_blas1.json`` and ``scan_dual_kl_blas2.json`` (and their
+``.csv`` tables) show the same for the KL sweep's full-matrix products.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -90,6 +93,14 @@ COMMANDS = (
      {"OPENBLAS_NUM_THREADS": "1"}),
     ("analyze-export-pcc-blas2", ["analyze", "-i", "noisy.csv", "-f", "fac_frob", "-o",
                                   "analysis_blas2.json", "--export-pcc", "pcc_blas2"],
+     {"OPENBLAS_NUM_THREADS": "2"}),
+    ("rank-scan-dual-kl-blas1", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl_blas1.json",
+                                 "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
+                                 "--loss", "kl"],
+     {"OPENBLAS_NUM_THREADS": "1"}),
+    ("rank-scan-dual-kl-blas2", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl_blas2.json",
+                                 "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
+                                 "--loss", "kl"],
      {"OPENBLAS_NUM_THREADS": "2"}),
     ("cluster", ["cluster", "-i", "swim.csv", "-f", "fac_frob", "-o", "clusters",
                  "--pixel-shape", "13x13"]),
