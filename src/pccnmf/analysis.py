@@ -16,6 +16,11 @@ from .errors import ParameterError, UndefinedCorrelationError
 from .probability import PccModel, _entropies
 from .stability import _column_norms, _paired_cosines, _peak_scaled
 
+# derive_pcc of an exact mixture leaves relative errors of roundoff size (at
+# most 1.1e-15 over 200 random mixtures of 4x5 to 169x256 at ranks 2..17);
+# when no relative error exceeds this guard there is no error to correlate.
+_ROUNDOFF_GUARD = 1e-12
+
 
 @dataclass(frozen=True)
 class ErrorSequences:
@@ -72,9 +77,14 @@ def anticorrelation_report(pcc: PccModel) -> AnticorrelationReport:
 
     r_w centers both sequences (plain Pearson). r_v centers eps only: the
     excess sequence v has zero mean by construction once weighted by the
-    image marginals, and is compared as-is.
+    image marginals, and is compared as-is. Raises UndefinedCorrelationError
+    when every relative error is at roundoff level (at most 1e-12), as for
+    an exact factorization.
     """
     seqs = error_sequences(pcc)
+    if np.all(seqs.eps <= _ROUNDOFF_GUARD):
+        raise UndefinedCorrelationError("every relative error is at roundoff level; "
+                                        "the mixture reproduces the data")
     r_w = pearson(seqs.eps, seqs.w)
     r_v = _correlation(seqs.eps - seqs.eps.mean(), seqs.v)
     return AnticorrelationReport(r_w=r_w, r_v=r_v, length=len(seqs.eps))

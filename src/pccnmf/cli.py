@@ -43,7 +43,10 @@ def _solver_options(args) -> nmf.SolverOptions:
 
 def _add_solver_flags(parser):
     parser.add_argument("--max-iters", type=int, default=nmf.SolverOptions.max_iters)
-    parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol)
+    parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol,
+                        help="stop when the loss changes by less than TOL relative between "
+                             "sweeps; a Frobenius fit also stops once its squared error is at "
+                             "most 10*TOL*||P||^2 (default %(default)s)")
 
 
 def _pixel_shape(arg: str | None):
@@ -128,7 +131,9 @@ def cmd_stability(args) -> int:
                 "seed_b": args.seed_b, "loss": nmf.LOSS_FROBENIUS},
                [args.seed_a, args.seed_b], m, started,
                {"matching": matching.to_dict(), "histogram": histogram,
-                "final_losses": [float(f.trace[-1]) for f in fits]},
+                "final_losses": [float(f.trace[-1]) for f in fits],
+                "iters": [f.iters for f in fits],
+                "converged": [f.converged for f in fits]},
                histogram, ["bin_lo", "bin_hi", "count", "pct"])
     return 0
 

@@ -130,6 +130,8 @@ class RankScanEntry:
     bic1: float
     bic2: float
     bic3: float
+    iters: int        # sweeps the fit ran
+    converged: bool   # False when it stopped at max_iters
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,9 @@ class RankScanReport:
             "best_invalid": self.best_invalid,
             "median_invalid": list(self.median_invalid),
             "curves": [list(row) for row in self.curve_rows()],
+            "iters": [e.iters for e in self.entries],
+            "converged": [e.converged for e in self.entries],
+            "n_unconverged": sum(not e.converged for e in self.entries),
         }
 
 
@@ -201,6 +206,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
             bic1=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic1"),
             bic2=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic2"),
             bic3=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic3"),
+            iters=f.iters, converged=f.converged,
         )
 
     entries = tuple(one(rank, seed) for rank in ranks for seed in seeds)

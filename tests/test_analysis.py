@@ -139,6 +139,27 @@ class TestAnticorrelationReport:
         with pytest.raises(UndefinedCorrelationError):
             anticorrelation_report(pcc)
 
+    @pytest.mark.parametrize("shape", [(4, 5, 2), (30, 40, 4)])
+    def test_exact_mixtures_raise_whatever_the_roundoff(self, shape):
+        # derive_pcc leaves relative errors of 1e-16 scale on most exact
+        # mixtures; their correlation is one of roundoff, not of the fit.
+        for k in range(20):
+            m, basis, weights = random_mixture(np.random.default_rng(k), *shape)
+            pcc = derive_pcc(m, make_factorization(basis, weights))
+            assert error_sequences(pcc).eps.max() < 1e-14
+            with pytest.raises(UndefinedCorrelationError):
+                anticorrelation_report(pcc)
+
+    def test_relative_errors_above_roundoff_correlate(self):
+        m, basis, weights = random_mixture(np.random.default_rng(3), 4, 5, 2)
+        bad = basis.copy()
+        bad[0, 0] *= 1.0 + 1e-9
+        bad /= bad.sum(axis=0)
+        pcc = derive_pcc(m, make_factorization(bad, weights))
+        assert 1e-12 < error_sequences(pcc).eps.max() < 1e-8
+        rep = anticorrelation_report(pcc)
+        assert -1.0 <= rep.r_w <= 1.0 and -1.0 <= rep.r_v <= 1.0
+
     @pytest.mark.xfail(strict=True, reason=(
         "holds for grayscale data only: on binary inputs ~80% of pairs sit at "
         "(w=0, eps=0) by the zero convention and w is near-constant on lit "

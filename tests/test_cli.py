@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
-                    find_r_range, load_matrix, matrix_digest, rescale, stability_experiment)
+                    estimate_rc, find_r_range, load_matrix, matrix_digest, rescale,
+                    stability_experiment)
 from pccnmf.cli import main
 from pccnmf.pgm import write_pgm
 
@@ -259,6 +260,20 @@ class TestRankScan:
                     "--r-max", "2", "--seeds", "1", "--max-iters", "20"]) == 0
         assert json.loads(out.read_text())["parameters"]["tau"] == 1.0 / (5 * 7)
 
+    def test_outputs_name_sweeps_and_capped_points(self, tmp_path):
+        m = DataMatrix(np.random.default_rng(38).random((6, 9)))
+        matrix = write_csv(tmp_path / "m.csv", m.values)
+        out = tmp_path / "scan.json"
+        assert run(["rank-scan", "-i", str(matrix), "-o", str(out), "--r-min", "1",
+                    "--r-max", "3", "--seeds", "2", "--max-iters", "30", "--tol", "1e-9"]) == 0
+        doc = json.loads(out.read_text())["outputs"]
+        report = estimate_rc(m, 1.0 / m.values.size, 1, 3, [0, 1],
+                             opts=SolverOptions(max_iters=30, rel_tol=1e-9))
+        assert doc["iters"] == [e.iters for e in report.entries]
+        assert doc["converged"] == [e.converged for e in report.entries]
+        assert doc["n_unconverged"] == doc["converged"].count(False) > 0
+        assert doc["curves"] == json.loads(json.dumps([list(r) for r in report.curve_rows()]))
+
 
 class TestStabilityCommand:
     def test_seed_pair_outputs(self, tmp_path, rng):
@@ -292,6 +307,8 @@ class TestStabilityCommand:
                                               opts=SolverOptions(max_iters=50, rel_tol=1e-9))
         assert doc["outputs"]["matching"] == json.loads(json.dumps(matching.to_dict()))
         assert doc["outputs"]["final_losses"] == [float(f.trace[-1]) for f in fits]
+        assert doc["outputs"]["iters"] == [len(f.trace) - 1 for f in fits]
+        assert doc["outputs"]["converged"] == [f.converged for f in fits]
         assert len(doc["outputs"]["histogram"]) == 21
 
 

@@ -61,10 +61,14 @@ def kl_oracle(data, recon):
     return total
 
 
-def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=True):
+def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=True,
+                        fit_floor=True):
     """Reference for factorize: the same multiplicative updates, with the loss
     recomputed from a full reconstruction after every sweep. Returns
     (basis, weights, trace, converged).
+
+    With ``fit_floor`` a Frobenius run also stops, converged, once its loss is
+    at most 10 * rel_tol * ||P||^2.
 
     With ``lit_rows`` the Frobenius sweep mirrors factorize's grouped
     products: the basis lives on the rows of P that are nonzero somewhere,
@@ -114,6 +118,8 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
         return fit - float(data.sum()) + float(recon.sum())
 
     trace = [loss_value(basis @ weights)]
+    floor_loss = (10.0 * opts.rel_tol * float(np.sum(data ** 2))
+                  if loss == "frobenius" and fit_floor else -np.inf)
     if grouped and n_dark:
         basis = basis[lit]
     converged = False
@@ -145,7 +151,7 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
         current = loss_value(full_basis() @ weights)
         previous = trace[-1]
         trace.append(current)
-        if abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
+        if current <= floor_loss or abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
             converged = True
             break
     return full_basis(), weights, np.array(trace), converged
@@ -301,9 +307,48 @@ class TestLossTrace:
     @pytest.mark.parametrize("loss", ["frobenius", "kl"])
     @pytest.mark.parametrize("rank", [9, 17])
     def test_swimmer_matches_reference(self, swimmer, loss, rank):
-        f = self.assert_matches_reference(swimmer, rank, loss, seed=0)
+        # At the default rel_tol the clean rank-17 Frobenius fit reaches the fit
+        # floor; at 1e-9 the floor is 1e-8 ||P||^2, which it stays 10x above.
+        opts = SolverOptions(rel_tol=1e-9) if (rank, loss) == (17, "frobenius") else None
+        f = self.assert_matches_reference(swimmer, rank, loss, seed=0, opts=opts)
         if rank == 17:
             assert len(f.trace) - 1 == SolverOptions().max_iters   # capped run
+            assert not f.converged
+        if opts is not None:
+            assert f.trace.min() > 1e-7 * np.sum(swimmer.values ** 2)
+
+    def test_near_exact_fit_stops_at_fit_floor(self, swimmer):
+        # Clean Swimmer at rank 17: the error falls below 1e-5 ||P||^2 after
+        # about 400 sweeps and then shrinks too slowly for the relative test.
+        f = self.assert_matches_reference(swimmer, 17, "frobenius", seed=0)
+        assert len(f.trace) - 1 < SolverOptions().max_iters
+        assert f.converged
+        assert f.trace[-1] <= 1e-5 * np.sum(swimmer.values ** 2)
+        assert f.trace[-1] == frobenius_error(swimmer, f)
+
+    def test_fit_floor_never_reached_on_noisy_swimmer(self, swimmer):
+        # Every row of the noisy Swimmer is lit, so the sweep runs the dense
+        # products, and the oracle without the floor stops at the same sweep.
+        noisy = apply_flip_noise(swimmer, 0.05, seed=11)
+        f = factorize(noisy, 16, seed=0)
+        basis, weights, trace, converged = reference_factorize(noisy, 16, seed=0,
+                                                               fit_floor=False)
+        assert np.array_equal(f.basis, basis)
+        assert np.array_equal(f.weights, weights)
+        assert (len(f.trace), f.converged) == (len(trace), converged)
+        assert f.trace.min() > 1e3 * 1e-5 * np.sum(noisy.values ** 2)
+
+    def test_loose_tolerance_floor_ends_frobenius_after_one_sweep(self):
+        # At rel_tol 0.1 the fit floor is ||P||^2, which one sweep gets under
+        # although the loss still falls by more than 90 % in that sweep. The
+        # KL loss has no floor and keeps going.
+        m = random_mixture(np.random.default_rng(40), 30, 40, 4)[0]
+        opts = SolverOptions(rel_tol=0.1)
+        frob = self.assert_matches_reference(m, 4, "frobenius", seed=0, opts=opts)
+        assert (frob.iters, frob.converged) == (1, True)
+        assert frob.trace[1] < 0.1 * frob.trace[0]
+        kl = self.assert_matches_reference(m, 4, "kl", seed=0, opts=opts)
+        assert kl.iters > 1 and kl.converged
 
     @pytest.mark.parametrize("loss", ["frobenius", "kl"])
     def test_random_mixture_matches_reference(self, loss):
@@ -370,12 +415,16 @@ class TestLossTrace:
     def test_lit_rows_agree_with_dense_loop(self, swimmer, rank):
         # 105 of the Swimmer's 169 pixel rows are dark and the 64 lit ones hold
         # 17 distinct rows. The grouped, shorter products sum in another order,
-        # which changes the last bits but not the stopping sweep.
+        # which changes the last bits but not the stopping sweep. At rel_tol
+        # 1e-9 the rank-17 fit stays above the fit floor and runs to the cap.
         assert np.count_nonzero(swimmer.values.any(axis=1)) == 64
-        f = factorize(swimmer, rank, seed=0)
-        basis, weights, trace, converged = reference_factorize(swimmer, rank, seed=0,
+        opts = SolverOptions(rel_tol=1e-9) if rank == 17 else None
+        f = factorize(swimmer, rank, seed=0, opts=opts)
+        basis, weights, trace, converged = reference_factorize(swimmer, rank, seed=0, opts=opts,
                                                                lit_rows=False)
         assert (len(f.trace), f.converged) == (len(trace), converged)
+        if rank == 17:
+            assert (f.iters, f.converged) == (SolverOptions().max_iters, False)
         np.testing.assert_allclose(f.basis, basis, rtol=1e-10, atol=0)
         np.testing.assert_allclose(f.weights, weights, rtol=1e-10, atol=0)
 
@@ -466,7 +515,10 @@ class TestRowGroups:
         row = 1.0 - 0.9 * rng.random(n_images)
         lit = rng.random(15) < 0.6
         values = np.outer(lit, row)
-        f = self.assert_matches_dense_loop(values, rank, seed=3)
+        # One sweep fits rank 1 exactly. Rank 3 approaches the exact fit slowly;
+        # at rel_tol 1e-21 the fit floor is 1e-20 ||P||^2.
+        opts = SolverOptions(rel_tol=1e-21) if rank == 3 else None
+        f = self.assert_matches_dense_loop(values, rank, seed=3, opts=opts)
         assert f.trace[-1] <= 1e-20 * np.sum(values ** 2)
 
     def test_rank_above_number_of_distinct_rows(self):

@@ -213,6 +213,23 @@ class TestEstimateRc:
             assert e.frobenius_error == frobenius_error(m, f)
             assert e.rrssq == rrssq(m, f)
 
+    @pytest.mark.parametrize("loss", ["frobenius", "kl"])
+    def test_entries_record_sweeps_and_convergence(self, loss):
+        # Within a 60-sweep cap the rank-1 fits converge and the rank-2 and
+        # rank-3 fits do not.
+        m, _, _ = random_mixture(np.random.default_rng(41), 8, 9, 2)
+        opts = SolverOptions(max_iters=60, rel_tol=1e-10)
+        report = estimate_rc(m, tau=0.0, r_min=1, r_max=3, seeds=[0, 1], loss=loss, opts=opts)
+        fits = [factorize(m, e.rank, loss, e.seed, opts) for e in report.entries]
+        iters = [len(f.trace) - 1 for f in fits]
+        converged = [f.converged for f in fits]
+        assert [e.iters for e in report.entries] == iters
+        assert [e.converged for e in report.entries] == converged
+        assert converged == [True, True, False, False, False, False]
+        out = report.to_dict()
+        assert (out["iters"], out["converged"], out["n_unconverged"]) == (iters, converged, 4)
+        assert all(len(row) == 9 for row in report.curve_rows())
+
     def test_parameter_validation(self, rng):
         m, _, _ = random_mixture(rng, 4, 5, 2)
         with pytest.raises(ParameterError):

@@ -13,7 +13,9 @@ so the Frobenius ``factorize`` also runs with row groups but no dark row; and
 noise-split`` runs on ``graded.csv`` and on ``pgm/``, which pins how 8-bit
 input is divided by 255 before noise is added, and one ``stability`` command
 runs at a non-default ``--max-iters`` and ``--tol``, which pins how the run
-record names its solver options.
+record names its solver options. The clean rank-17 ``factorize`` runs twice:
+at the default ``--tol`` it stops at the Frobenius fit floor, and at ``--tol
+1e-9`` (``fac_frob_capped/``) it runs to the sweep cap.
 Every file the commands write, and the stdout and stderr of each command,
 stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
 format of ``sha256sum``. Commands run with relative paths, so the outputs do
@@ -65,6 +67,8 @@ COMMANDS = (
     ("perturb-binarize", ["perturb", "-i", "noisy.csv", "-o", "binary.csv", "--binarize"]),
     ("factorize-frobenius", ["factorize", "-i", "swim.csv", "-o", "fac_frob", "--rank", "17",
                              "--seed", "0"]),
+    ("factorize-frobenius-capped", ["factorize", "-i", "swim.csv", "-o", "fac_frob_capped",
+                                    "--rank", "17", "--seed", "0", "--tol", "1e-9"]),
     ("factorize-kl", ["factorize", "-i", "noisy.csv", "-o", "fac_kl", "--rank", "14",
                       "--loss", "kl", "--seed", "1"]),
     ("rank-scan", ["rank-scan", "-i", "swim.csv", "-o", "scan.json", "--r-min", "12",
