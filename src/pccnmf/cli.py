@@ -46,7 +46,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol,
                         help="stop when the loss changes by less than TOL relative between "
                              "sweeps; a Frobenius fit also stops once its squared error is at "
-                             "most 10*TOL*||P||^2 (default %(default)s)")
+                             "most 10*TOL*||P||^2, and below the default at most "
+                             "1e-20*||P||^2 (default %(default)s)")
 
 
 def _pixel_shape(arg: str | None):
@@ -65,6 +66,15 @@ def _load_unit(path) -> dataset.DataMatrix:
     return dataset.rescale(m) if m.scale == dataset.SCALE_RAW255 else m
 
 
+def _table_path(args) -> Path:
+    """Where the CSV table of a run record goes: ``--output`` with its suffix
+    replaced by ``.csv``. An ``--output`` ending in ``.csv`` is rejected, as the
+    table would overwrite the record."""
+    if Path(args.output).suffix == ".csv":
+        raise ParameterError(f"--output {args.output} ends in .csv, the name of its CSV table")
+    return Path(args.output).with_suffix(".csv")
+
+
 def _write_run(args, command: str, parameters: dict, seeds, m, started: str, outputs: dict,
                rows, header) -> None:
     """Write the run record at ``--output`` and its CSV table next to it. The record
@@ -73,7 +83,7 @@ def _write_run(args, command: str, parameters: dict, seeds, m, started: str, out
               parameters={**parameters, "max_iters": args.max_iters, "tol": args.tol},
               seeds=seeds, input_digests={"matrix": matrix_digest(m)}, outputs=outputs,
               started=started, finished=timestamp()).write_json(args.output)
-    dataset.write_rows(Path(args.output).with_suffix(".csv"), rows, header)
+    dataset.write_rows(_table_path(args), rows, header)
 
 
 def cmd_swimmer_gen(args) -> int:
@@ -102,6 +112,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_rank_scan(args) -> int:
+    _table_path(args)
     m = dataset.load_matrix(args.input)
     tau = args.tau
     if tau is None:
@@ -119,6 +130,7 @@ def cmd_rank_scan(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _table_path(args)
     mode = args.mode.replace("-", "_")
     m = _load_unit(args.input) if mode == "noise_split" else dataset.load_matrix(args.input)
     started = timestamp()
@@ -170,13 +182,14 @@ def cmd_cluster(args) -> int:
     report = clustering.natural_clusters(pcc, k=args.k, require_positive=args.require_positive)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "clusters.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out / "clusters.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     if m.pixel_shape is not None:
         clustering.export_cluster_montage(report, m, f, out)
     return 0
 
 
 def cmd_denoise(args) -> int:
+    _table_path(args)
     clean = _load_unit(args.input)
     seed = _seed(args)
     noisy = dataset.apply_flip_noise(clean, args.xi, seed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,27 +34,12 @@ class Cluster:
     prior: float
     members: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "prior": self.prior,
-            "members": [{"image": m.image, "p_image_given_basis": m.p_image_given_basis,
-                         "p_image": m.p_image} for m in self.members],
-        }
-
 
 @dataclass(frozen=True)
 class ClusterReport:
-    clusters: tuple
     k: int
     require_positive: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "require_positive": self.require_positive,
-            "clusters": [c.to_dict() for c in self.clusters],
-        }
+    clusters: tuple
 
 
 def natural_clusters(pcc: PccModel, k: int = 5, require_positive: bool = True) -> ClusterReport:
@@ -84,7 +69,7 @@ def natural_clusters(pcc: PccModel, k: int = 5, require_positive: bool = True) -
             warnings.warn(f"basis {int(b)}: only {len(members)} of {k} images qualify")
         clusters.append(Cluster(basis=int(b), prior=float(pcc.basis_prior[b]),
                                 members=tuple(members)))
-    return ClusterReport(clusters=tuple(clusters), k=k, require_positive=require_positive)
+    return ClusterReport(k=k, require_positive=require_positive, clusters=tuple(clusters))
 
 
 def _to_gray(column: np.ndarray, limit: float) -> np.ndarray:
@@ -119,6 +104,6 @@ def export_cluster_montage(report: ClusterReport, m: DataMatrix, f: Factorizatio
         strip_path = out / f"cluster_{position:02d}_basis_{cluster.basis:02d}.pgm"
         write_pgm(strip_path, strip)
         written.append(strip_path)
-        index.append({"file": strip_path.name, **cluster.to_dict()})
+        index.append({"file": strip_path.name, **asdict(cluster)})
     (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
     return written

@@ -18,6 +18,7 @@ from .dataset import DataMatrix
 from .errors import ParameterError
 from .nmf import (Factorization, SolverOptions, _check_grid, _reconstruction, _truncate,
                   factorize)
+from .report import report_fields
 from .stability import _paired_cosines, cosine_distance_matrix
 
 
@@ -104,19 +105,13 @@ class DenoiseReport:
         return curves
 
     def to_dict(self) -> dict:
-        out = {
-            "ranks": list(self.ranks),
-            "exclusions": self.exclusions,
-            "r1": self.r1,
-            "r2": self.r2,
-            "seeds": list(self.seeds),
-            "xi": self.xi,
+        return {
+            **report_fields(self),
             "violations": [e.violations for e in self.entries],
             "min_margins": [e.min_margin for e in self.entries],
             "qualified": self.qualified_mask(),
+            **self.ac_curves(),
         }
-        out.update(self.ac_curves())
-        return out
 
 
 def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions: int,

@@ -11,9 +11,10 @@ A run stops when the loss changes by less than ``rel_tol`` relative between
 sweeps, after ``max_iters`` sweeps, or, for the Frobenius loss only, once the
 squared error is at most 10 * ``rel_tol`` * ||P||^2 (the fit floor). Near an
 exact fit the updates shrink the error by a nearly constant factor per sweep,
-so the relative test never fires there. The floor scales with ``rel_tol``:
-1e-5 * ||P||^2 at the default, and as small as asked for with a tiny
-``rel_tol``. Noisy data stay far above it.
+so the relative test never fires there. The floor is 1e-5 * ||P||^2 at the
+default ``rel_tol`` of 1e-6. A tighter ``rel_tol`` asks for a near-exact fit,
+and its floor is at most 1e-20 * ||P||^2, a relative residual of 1e-10. Noisy
+data stay far above the floor.
 
 The loss is recorded after every sweep without a pass over the N x M
 reconstruction where possible. The squared error comes from products the
@@ -76,9 +77,15 @@ _GRAM_GUARD = 1e-13
 # that is at most _FIT_FLOOR * rel_tol * ||P||^2, what is left to gain is ten
 # rel_tol on the data's scale, on which the slow tail of the updates spent the
 # rest of the 2000-sweep cap (clean Swimmer, ranks 16..60: under the floor
-# after 381..617 sweeps). Tied to rel_tol, so a tiny rel_tol still asks for a
-# near-exact fit.
+# after 381..617 sweeps).
 _FIT_FLOOR = 10.0
+
+# Below the default rel_tol the floor is at most _EXACT_FLOOR * ||P||^2, a
+# relative residual of 1e-10: at rel_tol 1e-13, 1e-12 ||P||^2 stopped exact
+# rank-2 mixtures too far from the fit for rank_scan's 1e-9 bracketing guard,
+# and with no floor a fit on the roundoff plateau of the 1e-12 factor floor
+# stops wherever two jittering losses agree to rel_tol.
+_EXACT_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,7 @@ class SolverOptions:
     stops once its squared error is at most 10 * ``rel_tol`` * ||P||^2: at
     the defaults 1e-5 * ||P||^2, a relative residual of at most 3.2e-3, and
     at ``rel_tol`` >= 0.1 at least ||P||^2, so a run may end after one sweep.
+    Below the default ``rel_tol`` the floor is at most 1e-20 * ||P||^2.
     Either way the run counts as converged.
     """
 
@@ -245,7 +253,8 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
             # B^T P = (B^T members) rows, members the 0/1 row-to-group matrix.
             members = np.zeros((len(group), len(rows)))
             members[np.arange(len(group)), group] = 1.0
-        fit_floor = _FIT_FLOOR * opts.rel_tol * norm_sq
+        cap = np.inf if opts.rel_tol >= SolverOptions.rel_tol else _EXACT_FLOOR
+        fit_floor = min(_FIT_FLOOR * opts.rel_tol, cap) * norm_sq
     else:
         data_terms = _kl_data_terms(data)
         support, data_pos, _ = data_terms

@@ -21,6 +21,7 @@ from .errors import DegenerateInputError, ParameterError
 from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _check_grid, factorize,
                   frobenius_error)
 from .probability import PccModel, derive_pcc
+from .report import report_fields
 from .stability import cosine_distance_matrix
 
 BIC_VARIANTS = ("bic1", "bic2", "bic3")
@@ -124,7 +125,7 @@ class RankScanEntry:
     rank: int
     seed: int
     valid_fraction: float
-    mean_internal_distance: float   # NaN at rank 1
+    mean_internal_distance: float   # NaN at rank 1, null in the JSON report
     frobenius_error: float
     rrssq: float
     bic1: float
@@ -168,16 +169,8 @@ class RankScanReport:
 
     def to_dict(self) -> dict:
         return {
-            "ranks": list(self.ranks),
-            "seeds": list(self.seeds),
-            "tau": self.tau,
-            "loss": self.loss,
-            "dual": self.dual,
-            "r_c": self.r_c,
-            "best_rank": self.best_rank,
-            "best_invalid": self.best_invalid,
-            "median_invalid": list(self.median_invalid),
-            "curves": [list(row) for row in self.curve_rows()],
+            **report_fields(self),
+            "curves": [[None if math.isnan(v) else v for v in row] for row in self.curve_rows()],
             "iters": [e.iters for e in self.entries],
             "converged": [e.converged for e in self.entries],
             "n_unconverged": sum(not e.converged for e in self.entries),

@@ -6,7 +6,7 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -28,6 +28,11 @@ def matrix_digest(m) -> str:
     h.update(repr(m.values.shape).encode())
     h.update(m.values.tobytes())
     return h.hexdigest()[:16]
+
+
+def report_fields(report) -> dict:
+    """The fields of a dataclass report by name, all but its per-entry ``entries``."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "entries"}
 
 
 @dataclass

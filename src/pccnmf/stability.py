@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import DataMatrix, apply_flip_noise
 from .errors import ParameterError
 from .nmf import Factorization, SolverOptions, factorize
+from .report import report_fields
 
 
 def _peak_scaled(a: np.ndarray) -> np.ndarray:
@@ -214,12 +215,8 @@ class Matching:
     stats: dict              # mean / median / max / min of the distances
 
     def to_dict(self) -> dict:
-        return {
-            "assignment": [int(a) for a in self.assignment],
-            "distances": [float(d) for d in self.distances],
-            "total": self.total,
-            "stats": {k: float(v) for k, v in self.stats.items()},
-        }
+        return {**report_fields(self), "assignment": self.assignment.tolist(),
+                "distances": self.distances.tolist()}
 
 
 def _distance_stats(distances: np.ndarray) -> dict:

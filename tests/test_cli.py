@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
                     estimate_rc, find_r_range, load_matrix, matrix_digest, rescale,
@@ -17,6 +24,15 @@ def run(argv):
 def write_csv(path, values):
     path.write_text("".join(",".join("%.17g" % v for v in row) + "\n" for row in values))
     return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads_strict(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestExitCodes:
@@ -67,6 +83,20 @@ class TestExitCodes:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FormatError" and "m.csv" in err["message"]
+
+    @pytest.mark.parametrize("command", [["rank-scan", "--r-min", "1", "--r-max", "2"],
+                                         ["stability", "--mode", "seed-pair", "--rank", "2"],
+                                         ["denoise", "--xi", "0.1", "--r-lo", "1", "--r-hi", "2"]])
+    def test_csv_output_is_1_before_loading(self, tmp_path, capsys, command):
+        # The CSV table goes to --output with its suffix replaced by .csv, so it
+        # would overwrite an --output ending in .csv. The check comes before the
+        # input is read: a missing input gives the same error.
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(42).random((4, 5)))
+        for source in (matrix, tmp_path / "missing.csv"):
+            assert run([command[0], "-i", str(source), "-o", str(tmp_path / "out.csv"),
+                        *command[1:], "--max-iters", "5"]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
     def test_missing_input_is_1(self, tmp_path, capsys):
         code = run(["factorize", "-i", str(tmp_path / "nope.csv"),
@@ -272,7 +302,20 @@ class TestRankScan:
         assert doc["iters"] == [e.iters for e in report.entries]
         assert doc["converged"] == [e.converged for e in report.entries]
         assert doc["n_unconverged"] == doc["converged"].count(False) > 0
-        assert doc["curves"] == json.loads(json.dumps([list(r) for r in report.curve_rows()]))
+        # The undefined dbar of a rank-1 point, NaN, is written as null.
+        assert doc["curves"] == [[None if np.isnan(v) else v for v in row]
+                                 for row in report.curve_rows()]
+
+    def test_rank_one_dbar_is_null_in_json_and_nan_in_csv(self, tmp_path):
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(39).random((5, 6)))
+        out = tmp_path / "scan.json"
+        assert run(["rank-scan", "-i", str(matrix), "-o", str(out), "--r-min", "1",
+                    "--r-max", "2", "--seeds", "2", "--max-iters", "20"]) == 0
+        curves = loads_strict(out.read_text())["outputs"]["curves"]
+        assert [row[3] for row in curves[:2]] == [None, None]
+        assert all(isinstance(row[3], float) for row in curves[2:])
+        rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows[:2]] == ["nan", "nan"]
 
 
 class TestStabilityCommand:
@@ -486,3 +529,118 @@ class TestDeterminism:
                     "--max-iters", "40"]) == 0
         doc = json.loads(out.read_text())
         assert doc["seeds"] == [42, 43]
+
+
+@st.composite
+def _matrices(draw, max_side=5):
+    """A CSV text of at most max_side x max_side cells, and its shape. The cells
+    are 8-bit integers or unit floats; one in four matrices has a cell that a
+    loader rejects."""
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    cells = draw(st.sampled_from([st.integers(0, 255).map(str),
+                                  st.floats(0, 1, allow_subnormal=False).map(repr)]))
+    rows = draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    if draw(st.sampled_from([False, False, False, True])):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from(["-1", "nan", "inf", "", "x", "1e400"]))
+    return "".join(",".join(row) + "\n" for row in rows), (n, m)
+
+
+@st.composite
+def _factorizations(draw, shape):
+    """B.csv, W.csv and meta.json of a factorization directory, mostly shaped to
+    fit a matrix of ``shape``."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([shape[0], shape[0], 2]))
+    m = draw(st.sampled_from([shape[1], shape[1], 3]))
+    entries = st.floats(0, 2, allow_subnormal=False)
+    basis = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank), min_size=n,
+                          max_size=n))
+    weights = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=rank,
+                            max_size=rank))
+    meta = {"rank": draw(st.sampled_from([rank, rank, rank + 1])),
+            "loss": draw(st.sampled_from(["frobenius", "kl", "other"])),
+            "seed": draw(st.integers(0, 3)), "iters": 1,
+            "final_loss": draw(st.floats(0, 10)), "converged": draw(st.booleans())}
+    if draw(st.booleans()) and draw(st.booleans()):
+        del meta[draw(st.sampled_from(sorted(meta)))]
+    return basis, weights, meta
+
+
+def _command(draw, matrix, fac, shape):
+    """Arguments of one of seven subcommands on ``matrix`` and ``fac``; ranks are
+    mostly at most the largest that a matrix of ``shape`` allows."""
+    limit = min(shape)
+    rank = str(draw(st.integers(1, limit + 1)))
+    r_min = draw(st.integers(1, limit))
+    r_max = str(r_min + draw(st.integers(0, limit - r_min + 1)))
+    name = draw(st.sampled_from(["perturb", "factorize", "rank-scan", "stability", "analyze",
+                                 "cluster", "denoise"]))
+    solver = ["--max-iters", str(draw(st.integers(1, 5))),
+              "--tol", draw(st.sampled_from(["1e-6", "1e-13", "0.5"]))]
+    xi = draw(st.sampled_from(["0", "0.1", "0.5", "1"]))
+    record = draw(st.sampled_from(["out.json", "out.json", "out.csv"]))
+    if name == "perturb":
+        return ["perturb", "-i", matrix, "-o", "p.csv", "--xi", xi, "--seed", "1",
+                *(["--binarize"] if draw(st.booleans()) else [])]
+    if name == "factorize":
+        return ["factorize", "-i", matrix, "-o", "fac_out", "--rank", rank,
+                "--loss", draw(st.sampled_from(["frobenius", "kl"])), *solver]
+    if name == "rank-scan":
+        return ["rank-scan", "-i", matrix, "-o", record, "--r-min", str(r_min), "--r-max", r_max,
+                "--seeds", str(draw(st.integers(1, 2))),
+                "--loss", draw(st.sampled_from(["frobenius", "kl"])),
+                *(["--dual"] if draw(st.booleans()) else []), *solver]
+    if name == "stability":
+        return ["stability", "-i", matrix, "-o", record, "--rank", rank, "--xi", xi,
+                "--mode", draw(st.sampled_from(["seed-pair", "noise-split"])), *solver]
+    if name == "analyze":
+        return ["analyze", "-i", matrix, "-f", fac, "-o", "out.json",
+                *(["--export-pcc", "pcc"] if draw(st.booleans()) else [])]
+    if name == "cluster":
+        pixels = draw(st.sampled_from([None, None, f"{shape[0]}x1", f"1x{shape[0]}", "2x2",
+                                       "bad"]))
+        return ["cluster", "-i", matrix, "-f", fac, "-o", "clusters",
+                "--k", str(draw(st.integers(1, 3))),
+                *(["--pixel-shape", pixels] if pixels else []),
+                *(["--no-require-positive"] if draw(st.booleans()) else [])]
+    return ["denoise", "-i", matrix, "-o", record, "--xi", xi, "--seed", "2",
+            "--r-lo", str(r_min), "--r-hi", r_max,
+            "--seeds", str(draw(st.integers(1, 2))),
+            "--baseline", draw(st.sampled_from(["none", "svd"])), *solver]
+
+
+class TestFuzzedInput:
+    """Every subcommand on small fuzzed input exits 0, 1 or 2 and never raises; an
+    exit 1 prints a one-line JSON error, and every JSON file written is strict JSON."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_error_line_and_strict_json(self, data):
+        text, shape = data.draw(_matrices())
+        basis, weights, meta = data.draw(_factorizations(shape))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp)
+            patch.delenv("PCCNMF_SEED", raising=False)
+            Path("m.csv").write_text(text)
+            Path("fac").mkdir()
+            write_csv(Path("fac/B.csv"), basis)
+            write_csv(Path("fac/W.csv"), weights)
+            Path("fac/meta.json").write_text(json.dumps(meta))
+            argv = _command(data.draw, "m.csv", "fac", shape)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code == 2
+            assert code in (0, 1, 2)
+            if code == 1:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1
+                assert set(loads_strict(lines[0])) == {"error", "message"}
+            for path in Path().rglob("*.json"):
+                loads_strict(path.read_text())

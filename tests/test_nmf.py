@@ -68,7 +68,8 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
     (basis, weights, trace, converged).
 
     With ``fit_floor`` a Frobenius run also stops, converged, once its loss is
-    at most 10 * rel_tol * ||P||^2.
+    at most 10 * rel_tol * ||P||^2, and below rel_tol 1e-6 at most
+    1e-20 * ||P||^2.
 
     With ``lit_rows`` the Frobenius sweep mirrors factorize's grouped
     products: the basis lives on the rows of P that are nonzero somewhere,
@@ -118,7 +119,8 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
         return fit - float(data.sum()) + float(recon.sum())
 
     trace = [loss_value(basis @ weights)]
-    floor_loss = (10.0 * opts.rel_tol * float(np.sum(data ** 2))
+    cap = np.inf if opts.rel_tol >= 1e-6 else 1e-20
+    floor_loss = (min(10.0 * opts.rel_tol, cap) * float(np.sum(data ** 2))
                   if loss == "frobenius" and fit_floor else -np.inf)
     if grouped and n_dark:
         basis = basis[lit]
@@ -308,7 +310,7 @@ class TestLossTrace:
     @pytest.mark.parametrize("rank", [9, 17])
     def test_swimmer_matches_reference(self, swimmer, loss, rank):
         # At the default rel_tol the clean rank-17 Frobenius fit reaches the fit
-        # floor; at 1e-9 the floor is 1e-8 ||P||^2, which it stays 10x above.
+        # floor; at 1e-9 the floor is 1e-20 ||P||^2, far below the fit.
         opts = SolverOptions(rel_tol=1e-9) if (rank, loss) == (17, "frobenius") else None
         f = self.assert_matches_reference(swimmer, rank, loss, seed=0, opts=opts)
         if rank == 17:
@@ -349,6 +351,16 @@ class TestLossTrace:
         assert frob.trace[1] < 0.1 * frob.trace[0]
         kl = self.assert_matches_reference(m, 4, "kl", seed=0, opts=opts)
         assert kl.iters > 1 and kl.converged
+
+    def test_tight_tolerance_floor_is_capped(self):
+        # Below the default rel_tol the floor is at most 1e-20 ||P||^2: at 1e-13
+        # this exact rank-2 mixture goes on from 1e-12 ||P||^2, where a floor of
+        # 10 rel_tol ||P||^2 would end it, to a near-exact fit.
+        m = random_mixture(np.random.default_rng(3), 6, 8, 2)[0]
+        opts = SolverOptions(max_iters=6000, rel_tol=1e-13)
+        f = self.assert_matches_reference(m, 2, "frobenius", seed=2, opts=opts)
+        assert f.converged
+        assert f.trace[-1] <= 1e-20 * np.sum(m.values ** 2)
 
     @pytest.mark.parametrize("loss", ["frobenius", "kl"])
     def test_random_mixture_matches_reference(self, loss):

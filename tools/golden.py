@@ -15,7 +15,9 @@ input is divided by 255 before noise is added, and one ``stability`` command
 runs at a non-default ``--max-iters`` and ``--tol``, which pins how the run
 record names its solver options. The clean rank-17 ``factorize`` runs twice:
 at the default ``--tol`` it stops at the Frobenius fit floor, and at ``--tol
-1e-9`` (``fac_frob_capped/``) it runs to the sweep cap.
+1e-9`` (``fac_frob_capped/``) it runs to the sweep cap. The ``rank-scan``
+from rank 1 (``scan_r1.json``) pins how the report writes the mean internal
+distance, which is undefined at rank 1: null in the JSON, ``nan`` in the CSV.
 Every file the commands write, and the stdout and stderr of each command,
 stay in OUTDIR; ``OUTDIR/SHA256SUMS`` lists their SHA-256 digests in the
 format of ``sha256sum``. Commands run with relative paths, so the outputs do
@@ -73,6 +75,8 @@ COMMANDS = (
                       "--loss", "kl", "--seed", "1"]),
     ("rank-scan", ["rank-scan", "-i", "swim.csv", "-o", "scan.json", "--r-min", "12",
                    "--r-max", "17", "--seeds", "3"]),
+    ("rank-scan-rank1", ["rank-scan", "-i", "swim.csv", "-o", "scan_r1.json", "--r-min", "1",
+                         "--r-max", "2", "--seeds", "2"]),
     ("rank-scan-dual-kl", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl.json",
                            "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
                            "--loss", "kl"]),
