@@ -194,6 +194,27 @@ class TestFactorizeAnalyzeCluster:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] in ("ParameterError", "FormatError")
 
+    @pytest.mark.parametrize("key, value", [("loss", "other"), ("final_loss", -1.0),
+                                            ("final_loss", float("nan"))],
+                             ids=["loss-other", "final-loss-negative", "final-loss-nan"])
+    def test_analyze_rejects_bad_meta_value(self, tmp_path, capsys, key, value):
+        # Each of these used to exit 0, and "loss": "other" reached the report.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.1,0.5,0.9\n0.3,0.2,0.8\n0.7,0.6,0.1\n")
+        fac = tmp_path / "fac"
+        run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+             "--max-iters", "200"])
+        meta = json.loads((fac / "meta.json").read_text())
+        meta[key] = value
+        (fac / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "analysis.json"
+        assert run(["analyze", "-i", str(matrix), "-f", str(fac), "-o", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "FormatError" and f"'{key}'" in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_analyze_rejects_non_finite_factor(self, tmp_path, capsys, cell):
         # A NaN basis cell used to drop its column as zero-mass; an inf one wrote
@@ -548,6 +569,34 @@ def _matrices(draw, max_side=5):
 
 
 @st.composite
+def _pgm_dirs(draw):
+    """The files of a PGM directory, {name: bytes}, and the shape of the matrix they
+    make. At most three images of at most 3 x 3 pixels, plain P2 or binary P5;
+    one directory in two has a fault: a bad magic, short data, a maxval of 0 or
+    above 255, or images of two sizes."""
+    fault = draw(st.sampled_from([None, None, None, None, "magic", "short", "maxval", "sizes"]))
+    n_files = draw(st.integers(2 if fault == "sizes" else 1, 3))
+    height, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    files = {}
+    for k in range(n_files):
+        magic = draw(st.sampled_from(["P2", "P5"]))
+        maxval = draw(st.sampled_from([0, 256, 1000, 65535, 65536])) if fault == "maxval" else 255
+        w = width + 1 if fault == "sizes" and k == n_files - 1 else width
+        samples = draw(st.lists(st.integers(0, min(maxval, 65535)), min_size=height * w,
+                                max_size=height * w))
+        if magic == "P2":
+            raster = " ".join(map(str, samples)).encode() + b"\n"
+        else:
+            raster = b"".join(v.to_bytes(1 if maxval < 256 else 2, "big") for v in samples)
+        if fault == "short":
+            raster = raster.rstrip()[:-1]
+        if fault == "magic":
+            magic = draw(st.sampled_from(["P1", "P3", "P6", "XX", ""]))
+        files[f"img_{k}.pgm"] = f"{magic}\n{w} {height}\n{maxval}\n".encode() + raster
+    return files, (height * width, n_files)
+
+
+@st.composite
 def _factorizations(draw, shape):
     """B.csv, W.csv and meta.json of a factorization directory, mostly shaped to
     fit a matrix of ``shape``."""
@@ -568,15 +617,19 @@ def _factorizations(draw, shape):
     return basis, weights, meta
 
 
-def _command(draw, matrix, fac, shape):
-    """Arguments of one of seven subcommands on ``matrix`` and ``fac``; ranks are
-    mostly at most the largest that a matrix of ``shape`` allows."""
+SUBCOMMANDS = ("perturb", "factorize", "rank-scan", "stability", "analyze", "cluster",
+               "denoise")
+
+
+def _command(draw, matrix, fac, shape, names=SUBCOMMANDS, modes=("seed-pair", "noise-split")):
+    """Arguments of one of ``names`` on ``matrix`` and ``fac``, ``stability`` in
+    one of ``modes``; ranks are mostly at most the largest that a matrix of
+    ``shape`` allows."""
     limit = min(shape)
     rank = str(draw(st.integers(1, limit + 1)))
     r_min = draw(st.integers(1, limit))
     r_max = str(r_min + draw(st.integers(0, limit - r_min + 1)))
-    name = draw(st.sampled_from(["perturb", "factorize", "rank-scan", "stability", "analyze",
-                                 "cluster", "denoise"]))
+    name = draw(st.sampled_from(names))
     solver = ["--max-iters", str(draw(st.integers(1, 5))),
               "--tol", draw(st.sampled_from(["1e-6", "1e-13", "0.5"]))]
     xi = draw(st.sampled_from(["0", "0.1", "0.5", "1"]))
@@ -594,7 +647,7 @@ def _command(draw, matrix, fac, shape):
                 *(["--dual"] if draw(st.booleans()) else []), *solver]
     if name == "stability":
         return ["stability", "-i", matrix, "-o", record, "--rank", rank, "--xi", xi,
-                "--mode", draw(st.sampled_from(["seed-pair", "noise-split"])), *solver]
+                "--mode", draw(st.sampled_from(modes)), *solver]
     if name == "analyze":
         return ["analyze", "-i", matrix, "-f", fac, "-o", "out.json",
                 *(["--export-pcc", "pcc"] if draw(st.booleans()) else [])]
@@ -615,20 +668,22 @@ class TestFuzzedInput:
     """Every subcommand on small fuzzed input exits 0, 1 or 2 and never raises; an
     exit 1 prints a one-line JSON error, and every JSON file written is strict JSON."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_exit_code_error_line_and_strict_json(self, data):
-        text, shape = data.draw(_matrices())
-        basis, weights, meta = data.draw(_factorizations(shape))
+    @staticmethod
+    def check_run(files, factorization, argv):
+        """Write ``files`` ({path: bytes}) and the factorization directory ``fac``
+        into a new working directory, run ``argv`` there, and check the exit code,
+        the error line and every JSON file written."""
+        basis, weights, meta = factorization
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.chdir(tmp)
             patch.delenv("PCCNMF_SEED", raising=False)
-            Path("m.csv").write_text(text)
+            for name, raw in files.items():
+                Path(name).parent.mkdir(exist_ok=True)
+                Path(name).write_bytes(raw)
             Path("fac").mkdir()
             write_csv(Path("fac/B.csv"), basis)
             write_csv(Path("fac/W.csv"), weights)
             Path("fac/meta.json").write_text(json.dumps(meta))
-            argv = _command(data.draw, "m.csv", "fac", shape)
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -644,3 +699,20 @@ class TestFuzzedInput:
                 assert set(loads_strict(lines[0])) == {"error", "message"}
             for path in Path().rglob("*.json"):
                 loads_strict(path.read_text())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_error_line_and_strict_json(self, data):
+        text, shape = data.draw(_matrices())
+        factorization = data.draw(_factorizations(shape))
+        self.check_run({"m.csv": text.encode()}, factorization,
+                       _command(data.draw, "m.csv", "fac", shape))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_pgm_directories(self, data):
+        files, shape = data.draw(_pgm_dirs())
+        factorization = data.draw(_factorizations(shape))
+        argv = _command(data.draw, "pgm", "fac", shape, names=("factorize", "cluster", "stability"),
+                        modes=("noise-split",))
+        self.check_run({f"pgm/{name}": raw for name, raw in files.items()}, factorization, argv)

@@ -15,7 +15,9 @@ input is divided by 255 before noise is added, and one ``stability`` command
 runs at a non-default ``--max-iters`` and ``--tol``, which pins how the run
 record names its solver options. The clean rank-17 ``factorize`` runs twice:
 at the default ``--tol`` it stops at the Frobenius fit floor, and at ``--tol
-1e-9`` (``fac_frob_capped/``) it runs to the sweep cap. The ``rank-scan``
+1e-9`` (``fac_frob_capped/``) it runs to the sweep cap. The rank-11 Frobenius
+``factorize`` on ``noisy.csv`` (``fac_frob_noisy/``), where every row is lit,
+pins the sweep that multiplies all of P by W^T. The ``rank-scan``
 from rank 1 (``scan_r1.json``) pins how the report writes the mean internal
 distance, which is undefined at rank 1: null in the JSON, ``nan`` in the CSV.
 Every file the commands write, and the stdout and stderr of each command,
@@ -28,7 +30,10 @@ pinned at 1 and at 2; equal digests for ``analysis_blas1.json`` and
 the analysis does not depend on the BLAS thread count. The KL ``rank-scan
 --dual`` on ``noisy.csv`` runs twice more in the same way, and equal digests
 for ``scan_dual_kl_blas1.json`` and ``scan_dual_kl_blas2.json`` (and their
-``.csv`` tables) show the same for the KL sweep's full-matrix products.
+``.csv`` tables) show the same for the KL sweep's full-matrix products. The
+Frobenius ``factorize`` on ``noisy.csv`` runs twice more in the same way, into
+``fac_frob_noisy_blas1/`` and ``fac_frob_noisy_blas2/``, which shows the same
+for the Frobenius sweep on the whole of P.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -73,6 +78,8 @@ COMMANDS = (
                                     "--rank", "17", "--seed", "0", "--tol", "1e-9"]),
     ("factorize-kl", ["factorize", "-i", "noisy.csv", "-o", "fac_kl", "--rank", "14",
                       "--loss", "kl", "--seed", "1"]),
+    ("factorize-frobenius-noisy", ["factorize", "-i", "noisy.csv", "-o", "fac_frob_noisy",
+                                   "--rank", "11", "--seed", "0"]),
     ("rank-scan", ["rank-scan", "-i", "swim.csv", "-o", "scan.json", "--r-min", "12",
                    "--r-max", "17", "--seeds", "3"]),
     ("rank-scan-rank1", ["rank-scan", "-i", "swim.csv", "-o", "scan_r1.json", "--r-min", "1",
@@ -109,6 +116,12 @@ COMMANDS = (
     ("rank-scan-dual-kl-blas2", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl_blas2.json",
                                  "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
                                  "--loss", "kl"],
+     {"OPENBLAS_NUM_THREADS": "2"}),
+    ("factorize-frobenius-noisy-blas1", ["factorize", "-i", "noisy.csv", "-o",
+                                         "fac_frob_noisy_blas1", "--rank", "11", "--seed", "0"],
+     {"OPENBLAS_NUM_THREADS": "1"}),
+    ("factorize-frobenius-noisy-blas2", ["factorize", "-i", "noisy.csv", "-o",
+                                         "fac_frob_noisy_blas2", "--rank", "11", "--seed", "0"],
      {"OPENBLAS_NUM_THREADS": "2"}),
     ("cluster", ["cluster", "-i", "swim.csv", "-f", "fac_frob", "-o", "clusters",
                  "--pixel-shape", "13x13"]),
