@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis, clustering, dataset, denoising, nmf, probability, rank_scan, stability
 from .errors import Error, FormatError, ParameterError
-from .report import RunReport, matrix_digest, timestamp
+from .report import SCHEMA_VERSION, RunReport, matrix_digest, timestamp
 
 
 def _default_seed() -> int:
@@ -44,7 +44,7 @@ def _solver_options(args) -> nmf.SolverOptions:
 def _add_solver_flags(parser):
     parser.add_argument("--max-iters", type=int, default=nmf.SolverOptions.max_iters)
     parser.add_argument("--tol", type=float, default=nmf.SolverOptions.rel_tol,
-                        help="stop when the loss changes by less than TOL relative between "
+                        help="stop when the loss changes by at most TOL relative between "
                              "sweeps; a Frobenius fit also stops once its squared error is at "
                              "most 10*TOL*||P||^2, and below the default at most "
                              "1e-20*||P||^2 (default %(default)s)")
@@ -82,7 +82,7 @@ def _write_run(args, command: str, parameters: dict, seeds, m, started: str, out
     RunReport(command=command,
               parameters={**parameters, "max_iters": args.max_iters, "tol": args.tol},
               seeds=seeds, input_digests={"matrix": matrix_digest(m)}, outputs=outputs,
-              started=started, finished=timestamp()).write_json(args.output)
+              timestamps={"started": started, "finished": timestamp()}).write_json(args.output)
     dataset.write_rows(_table_path(args), rows, header)
 
 
@@ -219,7 +219,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = {"schema": 1, "command": "report", "inputs": {}}
+    bundle = {"schema": SCHEMA_VERSION, "command": "report", "inputs": {}}
     for name in args.files:
         path = Path(name)
         if path.name in bundle["inputs"]:

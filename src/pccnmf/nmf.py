@@ -3,11 +3,21 @@
 Factorizes a nonnegative pixels-by-images matrix P as basis @ weights at a
 given rank, minimizing either the squared Frobenius distance or the
 generalized Kullback-Leibler divergence. Multiplicative updates make the
-recorded loss trace non-increasing; a small floor on both factors prevents
-entries from locking at exact zero. A truncated-SVD reconstruction is
+recorded loss trace non-increasing. A truncated-SVD reconstruction is
 provided as the unconstrained low-rank baseline.
 
-A run stops when the loss changes by less than ``rel_tol`` relative between
+The solver has one floor, 1e-12 on every factor entry, applied to the initial
+draws and after every update so that no entry locks at exact zero. It makes
+every denominator of an update (B W W^T, B^T B W, B W, the row sums of W and
+the column sums of B) at least 1e-36, a normal double, so the updates divide
+by them as they are. Multiplicative updates commute with rescaling P, and so
+does the stopping rule, so c P fits as c times the fit of P for c down to
+4^-20 (about 1e-12; a test holds the reconstruction to 1e-5 relative with the
+same stopping sweep, both losses). On entries below about 1e-20 the factor
+floor itself binds: B W stays at least R * 1e-24, and the fit stalls with a
+trace that does not rise.
+
+A run stops when the loss changes by at most ``rel_tol`` relative between
 sweeps, after ``max_iters`` sweeps, or, for the Frobenius loss only, once the
 squared error is at most 10 * ``rel_tol`` * ||P||^2 (the fit floor). Near an
 exact fit the updates shrink the error by a nearly constant factor per sweep,
@@ -46,14 +56,11 @@ view by up to 1e-10 relative (1.7e-11 for KL at rank 17, 2.6e-12 for the
 Frobenius loss at rank 11, on the flip-noised Swimmer), with the same
 stopping sweeps.
 
-The KL update needs P / max(B W, floor), which is 0 wherever P is 0. So the
-flat indices of the support of P, P on them, P / floor on them and the sum of
-P are computed once per run. Each half-update divides on the support only and
-writes the result into a ratio buffer whose other entries stay 0. The sweep's
-loss divides P by B W there; both factors are at least the floor, so B W > 0,
-and that quotient, clipped at P / floor, also serves the next sweep's basis
-update: min(P / BW, P / floor) equals P / max(BW, floor) bit for bit, since
-IEEE division is correctly rounded and so monotone in the divisor. B W is
+The KL update needs P / B W, which is 0 wherever P is 0. So the flat indices
+of the support of P, P on them and the sum of P are computed once per run.
+Each half-update divides on the support only and writes the result into a
+ratio buffer whose other entries stay 0. The sweep's loss divides P by B W
+there, and that quotient also serves the next sweep's basis update. B W is
 written into one buffer made once per run. The four products with the factors
 and the sum of B W in the loss stay full-matrix, so factors and traces equal
 those of a dense update with the same layout bit for bit. The last trace entry
@@ -104,8 +111,8 @@ _EXACT_FLOOR = 1e-20
 class SolverOptions:
     """Stopping controls for :func:`factorize`.
 
-    The solver stops when the relative loss change between sweeps drops
-    below ``rel_tol``, or after ``max_iters`` sweeps. A Frobenius fit also
+    The solver stops when the relative loss change between sweeps is at
+    most ``rel_tol``, or after ``max_iters`` sweeps. A Frobenius fit also
     stops once its squared error is at most 10 * ``rel_tol`` * ||P||^2: at
     the defaults 1e-5 * ||P||^2, a relative residual of at most 3.2e-3, and
     at ``rel_tol`` >= 0.1 at least ||P||^2, so a run may end after one sweep.
@@ -230,7 +237,8 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
     does not depend on the BLAS thread count (checked by
     ``tests/test_nmf.py::TestLossTrace::test_frobenius_trace_independent_of_blas_threads``
     and by ``tools/golden.py``). Both factors are initialized i.i.d. uniform on
-    (0, 1] scaled by sqrt(mean(P)/rank), basis drawn before weights.
+    (0, 1] scaled by sqrt(mean(P)/rank), basis drawn before weights, and
+    clamped at the factor floor.
     """
     if opts is None:
         opts = SolverOptions()
@@ -245,8 +253,8 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
 
     rng = np.random.default_rng(seed)
     amplitude = np.sqrt(data.mean() / rank)
-    basis = (1.0 - rng.random((n_pixels, rank))) * amplitude
-    weights = (1.0 - rng.random((rank, n_images))) * amplitude
+    basis = np.maximum((1.0 - rng.random((n_pixels, rank))) * amplitude, _FLOOR)
+    weights = np.maximum((1.0 - rng.random((rank, n_images))) * amplitude, _FLOOR)
 
     if loss == LOSS_FROBENIUS:
         norm_sq = float(np.sum(data * data))
@@ -269,13 +277,11 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
     else:
         data_terms = _kl_data_terms(data)
         support, data_pos, _ = data_terms
-        # P / max(BW, floor) is 0 off the support, so only the support is ever
-        # written. zeros(shape) is C-ordered whatever the order of P, so
-        # ravel() is a view and take() indexes it in the same order.
+        # P / BW is 0 off the support, so only the support is ever written.
+        # zeros(shape) is C-ordered whatever the order of P, so ravel() is a
+        # view and take() indexes it in the same order.
         ratio = np.zeros(data.shape)
         flat_ratio = ratio.ravel()
-        # min(P / BW, P / _FLOOR) is P / max(BW, _FLOOR) (module docstring).
-        data_over_floor = data_pos / _FLOOR
         product = basis @ weights
         quotient = data_pos / product.take(support)
         trace = [_generalized_kl(data_terms, product, quotient)]
@@ -293,13 +299,13 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
                 # The 17 distinct rows of the clean Swimmer gain nothing from the copy.
                 data_weights = (rows @ weights.T)[group]
             denom = basis @ (weights @ weights.T)
-            basis = np.maximum(basis * data_weights / np.maximum(denom, _FLOOR), _FLOOR)
+            basis = np.maximum(basis * data_weights / denom, _FLOOR)
             numer = (basis.T if group is None else basis.T @ members) @ rows
             basis_gram = basis.T @ basis
             if n_dark:
                 basis_gram += n_dark * _FLOOR ** 2
             denom = basis_gram @ weights
-            weights = np.maximum(weights * numer / np.maximum(denom, _FLOOR), _FLOOR)
+            weights = np.maximum(weights * numer / denom, _FLOOR)
             # ||P - BW||^2 = ||P||^2 - <W, 2 B^T P - (B^T B) W>. Combining the
             # two R x M terms before the sum about halves the cancellation error of
             # ||P||^2 - 2<B^T P, W> + <B^T B, W W^T>.
@@ -312,27 +318,26 @@ def factorize(m: DataMatrix, rank: int, loss: str = LOSS_FROBENIUS, seed: int = 
                 current = _squared_error(data, _with_dark_rows(basis, lit, n_pixels) @ weights)
         else:
             # The last loss's quotient P / BW serves this basis update.
-            flat_ratio[support] = np.minimum(quotient, data_over_floor, out=quotient)
+            flat_ratio[support] = quotient
             np.copyto(weights_t, weights.T)
             numer = ratio @ weights_t
             numer *= basis
-            numer /= np.maximum(weights.sum(axis=1), _FLOOR)
+            numer /= weights.sum(axis=1)
             basis = np.maximum(numer, _FLOOR, out=numer)
             # BW goes into one N x M buffer: a fresh array twice per sweep made the
             # sweep's time depend on where the allocator put it (up to 1.3x).
             np.matmul(basis, weights, out=product)
-            flat_ratio[support] = data_pos / np.maximum(product.take(support), _FLOOR)
+            flat_ratio[support] = data_pos / product.take(support)
             numer = basis.T @ ratio
             numer *= weights
-            numer /= np.maximum(basis.sum(axis=0)[:, None], _FLOOR)
+            numer /= basis.sum(axis=0)[:, None]
             weights = np.maximum(numer, _FLOOR, out=numer)
             np.matmul(basis, weights, out=product)
             quotient = data_pos / product.take(support)
             current = _generalized_kl(data_terms, product, quotient)
         previous = trace[-1]
         trace.append(current)
-        if (current <= fit_floor
-                or abs(current - previous) / max(previous, 1e-30) < opts.rel_tol):
+        if current <= fit_floor or abs(current - previous) <= opts.rel_tol * previous:
             converged = True
             break
     if loss == LOSS_FROBENIUS:

@@ -1,8 +1,9 @@
 """Minimal PGM reader/writer (plain P2 and binary P5).
 
-Only grayscale is supported. Comments (``#`` to end of line) are allowed
-anywhere in the header. P5 rasters use one byte per sample for maxval < 256
-and two big-endian bytes otherwise.
+Only 8-bit grayscale is supported: a maxval above 255 is a FormatError, since
+a matrix holds raw samples in [0, 255] and 16-bit samples would either exceed
+that range or be taken for 8-bit ones. Comments (``#`` to end of line) are
+allowed anywhere in the header. P5 rasters use one byte per sample.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: malformed header") from None
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FormatError(f"{path}: bad dimensions or maxval")
+    if maxval > 255:
+        raise FormatError(f"{path}: maxval {maxval} is above 255; only 8-bit images are read")
 
     count = width * height
     if magic == b"P2":
@@ -60,16 +63,10 @@ def read_pgm(path) -> np.ndarray:
         image = np.array(values, dtype=np.float64)
     else:
         # Raster starts after exactly one whitespace byte following maxval.
-        start = mpos + len(mtok) + 1
-        raw = data[start:]
-        if maxval < 256:
-            if len(raw) < count:
-                raise FormatError(f"{path}: raster truncated ({len(raw)} of {count} bytes)")
-            image = np.frombuffer(raw[:count], dtype=np.uint8).astype(np.float64)
-        else:
-            if len(raw) < 2 * count:
-                raise FormatError(f"{path}: raster truncated")
-            image = np.frombuffer(raw[:2 * count], dtype=">u2").astype(np.float64)
+        raw = data[mpos + len(mtok) + 1:]
+        if len(raw) < count:
+            raise FormatError(f"{path}: raster truncated ({len(raw)} of {count} bytes)")
+        image = np.frombuffer(raw[:count], dtype=np.uint8).astype(np.float64)
     if np.any(image > maxval):
         raise FormatError(f"{path}: sample exceeds maxval {maxval}")
     return image.reshape(height, width)

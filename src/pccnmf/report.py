@@ -6,7 +6,7 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -37,27 +37,17 @@ def report_fields(report) -> dict:
 
 @dataclass
 class RunReport:
-    """Record of one scan or experiment, ready for JSON serialization."""
+    """Record of one scan or experiment; its JSON keys are its fields."""
 
     command: str
     parameters: dict
     seeds: list
     input_digests: dict
     outputs: dict
-    started: str = field(default_factory=timestamp)
-    finished: str = field(default_factory=timestamp)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "version": __version__,
-            "command": self.command,
-            "parameters": self.parameters,
-            "seeds": list(self.seeds),
-            "input_digests": self.input_digests,
-            "timestamps": {"started": self.started, "finished": self.finished},
-            "outputs": self.outputs,
-        }
+    timestamps: dict = field(default_factory=lambda: {"started": timestamp(),
+                                                      "finished": timestamp()})
+    schema: int = SCHEMA_VERSION
+    version: str = __version__
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

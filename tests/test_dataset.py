@@ -218,12 +218,12 @@ class TestPgmDir:
         (b"P2\n2 1\n255\n1\n", "expected 2 samples, found 1"),
         (b"P2\n2 1\n255\n1 2 3\n", "expected 2 samples, found 3"),
         (b"P5\n2 2\n255\n\x01\x02", r"raster truncated \(2 of 4 bytes\)"),
-        (b"P5\n2 1\n65535\n\x00\x01\x00", "raster truncated"),
+        (b"P5\n2 1\n65535\n\x00\x01\x00", "maxval 65535 is above 255"),
         (b"P2\n2 1\n10\n5 11\n", "sample exceeds maxval 10"),
         (b"P5\n1 1\n10\n\x0b", "sample exceeds maxval 10"),
     ], ids=["empty", "comment-only", "bad-magic", "short-header", "non-integer-width",
             "zero-width", "zero-maxval", "maxval-too-large", "non-integer-sample",
-            "too-few-samples", "too-many-samples", "truncated-8-bit", "truncated-16-bit",
+            "too-few-samples", "too-many-samples", "truncated-8-bit", "16-bit-maxval",
             "p2-above-maxval", "p5-above-maxval"])
     def test_malformed_file_rejected(self, tmp_path, data, message):
         (tmp_path / "a.pgm").write_bytes(data)
@@ -231,19 +231,17 @@ class TestPgmDir:
             load_matrix(tmp_path)
         assert "a.pgm" in str(exc.value)
 
-    def test_p5_16_bit_matches_its_p2_twin(self, tmp_path):
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_16_bit_twins_rejected(self, tmp_path, magic):
+        # Every sample is at most 255, so a reader that ignored the maxval would
+        # take these 16-bit images for 8-bit ones.
         samples = [0, 7, 200, 255, 128, 1]
-        p2, p5 = tmp_path / "p2", tmp_path / "p5"
-        p2.mkdir()
-        p5.mkdir()
-        (p2 / "a.pgm").write_text("P2\n3 2\n65535\n" + " ".join(map(str, samples)) + "\n")
-        (p5 / "a.pgm").write_bytes(b"P5\n3 2\n65535\n"
-                                   + np.array(samples, dtype=">u2").tobytes())
-        plain, binary = load_matrix(p2), load_matrix(p5)
-        np.testing.assert_array_equal(binary.values[:, 0], samples)
-        np.testing.assert_array_equal(binary.values, plain.values)
-        assert binary.pixel_shape == plain.pixel_shape == (2, 3)
-        assert binary.scale == plain.scale == "raw255"
+        raster = (" ".join(map(str, samples)).encode() + b"\n" if magic == "P2"
+                  else np.array(samples, dtype=">u2").tobytes())
+        (tmp_path / "a.pgm").write_bytes(f"{magic}\n3 2\n65535\n".encode() + raster)
+        with pytest.raises(FormatError, match="maxval 65535 is above 255") as exc:
+            load_matrix(tmp_path)
+        assert "a.pgm" in str(exc.value)
 
     def test_write_rejects_non_2d_image(self, tmp_path):
         with pytest.raises(FormatError, match="2-d"):

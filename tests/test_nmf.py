@@ -87,8 +87,8 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
     floor = 1e-12
     rng = np.random.default_rng(seed)
     amplitude = np.sqrt(data.mean() / rank)
-    basis = (1.0 - rng.random((data.shape[0], rank))) * amplitude
-    weights = (1.0 - rng.random((rank, data.shape[1]))) * amplitude
+    basis = np.maximum((1.0 - rng.random((data.shape[0], rank))) * amplitude, floor)
+    weights = np.maximum((1.0 - rng.random((rank, data.shape[1]))) * amplitude, floor)
 
     lit = np.flatnonzero(data.any(axis=1))
     n_dark = data.shape[0] - len(lit)
@@ -140,30 +140,26 @@ def reference_factorize(m, rank, loss="frobenius", seed=0, opts=None, lit_rows=T
             else:
                 numer = distinct_rows @ transposed(weights)
             denom = basis @ (weights @ weights.T)
-            basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
+            basis = np.maximum(basis * numer / denom, floor)
             numer = (basis.T @ members if repeats else basis.T) @ distinct_rows
             denom = (basis.T @ basis + n_dark * floor ** 2) @ weights
-            weights = np.maximum(weights * numer / np.maximum(denom, floor), floor)
+            weights = np.maximum(weights * numer / denom, floor)
         elif loss == "frobenius":
             numer = data @ transposed(weights)
             denom = basis @ (weights @ weights.T)
-            basis = np.maximum(basis * numer / np.maximum(denom, floor), floor)
+            basis = np.maximum(basis * numer / denom, floor)
             numer = basis.T @ data
             denom = (basis.T @ basis) @ weights
-            weights = np.maximum(weights * numer / np.maximum(denom, floor), floor)
+            weights = np.maximum(weights * numer / denom, floor)
         else:
-            recon = np.maximum(basis @ weights, floor)
-            basis = basis * ((data / recon) @ transposed(weights)) / np.maximum(
-                weights.sum(axis=1), floor)
-            basis = np.maximum(basis, floor)
-            recon = np.maximum(basis @ weights, floor)
-            weights = weights * (basis.T @ (data / recon)) / np.maximum(
-                basis.sum(axis=0)[:, None], floor)
-            weights = np.maximum(weights, floor)
+            ratio = data / (basis @ weights)
+            basis = np.maximum(basis * (ratio @ transposed(weights)) / weights.sum(axis=1), floor)
+            ratio = data / (basis @ weights)
+            weights = np.maximum(weights * (basis.T @ ratio) / basis.sum(axis=0)[:, None], floor)
         current = loss_value(full_basis() @ weights)
         previous = trace[-1]
         trace.append(current)
-        if current <= floor_loss or abs(current - previous) / max(previous, 1e-30) < opts.rel_tol:
+        if current <= floor_loss or abs(current - previous) <= opts.rel_tol * previous:
             converged = True
             break
     return full_basis(), weights, np.array(trace), converged
@@ -406,7 +402,8 @@ class TestLossTrace:
 
     def test_kl_zero_rows_columns_and_tiny_entries_match_reference(self):
         # All-zero rows and columns leave parts of the ratio buffer never
-        # written; entries near 1e-14 push BW on the support below the floor.
+        # written; entries near 1e-14 push BW on the support below 1e-12, where
+        # the quotient P / BW is taken as it is, with no floor on BW.
         rng = np.random.default_rng(11)
         values = rng.random((40, 50)) * (rng.random((40, 50)) < 0.5)
         values[[3, 17], :] = 0.0
@@ -610,11 +607,11 @@ def _degenerate(name):
         values[[0, 5, 9]] = 0.0
         values[:, [3, 11]] = 0.0
         return values, 4
-    return rng.random((8, 10)) * (1e-6 if name == "tiny-1e-6" else 1e-12), 3
+    return rng.random((8, 10)) * float(name.removeprefix("tiny-")), 3
 
 
 DEGENERATE = ("1x1", "one-image", "one-pixel", "full-rank-tall", "full-rank-wide",
-              "zero-rows-columns", "tiny-1e-6", "tiny-1e-12")
+              "zero-rows-columns", "tiny-1e-6", "tiny-1e-12", "tiny-1e-20", "tiny-1e-300")
 
 
 class TestDegenerateShapes:
@@ -624,13 +621,7 @@ class TestDegenerateShapes:
     roundoff, which may jitter."""
 
     @pytest.mark.parametrize("loss", ["frobenius", "kl"])
-    @pytest.mark.parametrize("name", [
-        *DEGENERATE[:-1],
-        pytest.param(DEGENERATE[-1], marks=pytest.mark.xfail(strict=True, reason=(
-            "the 1e-12 floor on the update denominators is not scaled to the data: on "
-            "entries below about 1e-8 (Frobenius) or 1e-11 (KL) the updates drive the "
-            "factors to the floor and the loss rises above its starting value"))),
-    ])
+    @pytest.mark.parametrize("name", DEGENERATE)
     def test_factors_trace_and_final_loss(self, name, loss):
         values, rank = _degenerate(name)
         m = DataMatrix(values)
@@ -640,6 +631,33 @@ class TestDegenerateShapes:
         assert np.all(np.diff(f.trace) <= 1e-12 * f.trace[0])
         public = frobenius_error(m, f) if loss == "frobenius" else kl_divergence(m, f)
         assert f.trace[-1] == public
+
+    @pytest.mark.parametrize("name", ["1x1", "one-image", "one-pixel"])
+    def test_kl_exact_fit_stops_converged(self, name):
+        # At rank 1 these fit exactly and the KL loss reaches 0.0: a change of 0
+        # against rel_tol * 0 still ends the run, converged.
+        values, rank = _degenerate(name)
+        f = factorize(DataMatrix(values), rank, "kl", seed=1, opts=SolverOptions(max_iters=500))
+        assert f.trace[-1] == 0.0
+        assert f.converged and f.iters < 500
+
+
+class TestScaleEquivariance:
+    """Multiplicative updates commute with rescaling P, so c P fits as c times the
+    fit of P, sweep for sweep, until the 1e-12 factor floor binds."""
+
+    @pytest.mark.parametrize("loss", ["frobenius", "kl"])
+    @pytest.mark.parametrize("k", [5, 10, 20])
+    def test_scaled_input_scales_the_fit(self, loss, k):
+        values = np.random.default_rng(2).random((30, 40))
+        c = 4.0 ** -k   # a power of 4: sqrt(mean(c P) / rank) scales exactly by 2^-k
+        opts = SolverOptions(max_iters=300)
+        base = factorize(DataMatrix(values), 4, loss, seed=2, opts=opts)
+        scaled = factorize(DataMatrix(c * values), 4, loss, seed=2, opts=opts)
+        assert (scaled.iters, scaled.converged) == (base.iters, base.converged)
+        expected = c * base.reconstruct()
+        gap = np.linalg.norm(scaled.reconstruct() - expected) / np.linalg.norm(expected)
+        assert gap <= 1e-5
 
 
 class TestGauge:

@@ -6,8 +6,13 @@ Runs each subcommand of the pccnmf package in the ``src/`` directory next to
 this script, with ``PCCNMF_TIMESTAMP`` and ``PCCNMF_SEED`` pinned, inside
 OUTDIR (which must not exist yet). The script first writes ``graded.csv``
 there, a graded 0-255 matrix drawn from a fixed seed, so the KL commands also
-run on non-binary data; ``tiled.csv``, whose rows repeat and none is all zero,
-so the Frobenius ``factorize`` also runs with row groups but no dark row; and
+run on non-binary data; ``tiny.csv``, the integers of ``graded.csv`` times
+2^-40 (entries up to about 2.3e-10) written with ``repr``, on which the
+Frobenius and KL ``factorize`` run at rank 6 (``fac_frob_tiny/`` and
+``fac_kl_tiny/``), which pins the solver on tiny entries: the two fits end
+within 0.1 % of the end-to-start loss ratio of the same fits on the 8-bit
+``graded.csv``; ``tiled.csv``, whose rows repeat and none is all zero, so
+the Frobenius ``factorize`` also runs with row groups but no dark row; and
 ``pgm/``, small P2 and P5 images with comments in their headers, which
 ``factorize`` and ``cluster`` read as a PGM directory. ``stability --mode
 noise-split`` runs on ``graded.csv`` and on ``pgm/``, which pins how 8-bit
@@ -132,6 +137,10 @@ COMMANDS = (
     ("rank-scan-dual-kl-graded", ["rank-scan", "-i", "graded.csv", "-o",
                                   "scan_dual_kl_graded.json", "--r-min", "3", "--r-max", "6",
                                   "--seeds", "2", "--dual", "--loss", "kl"]),
+    ("factorize-frobenius-tiny", ["factorize", "-i", "tiny.csv", "-o", "fac_frob_tiny",
+                                  "--rank", "6", "--seed", "2"]),
+    ("factorize-kl-tiny", ["factorize", "-i", "tiny.csv", "-o", "fac_kl_tiny", "--rank", "6",
+                           "--loss", "kl", "--seed", "2"]),
     ("factorize-tiled", ["factorize", "-i", "tiled.csv", "-o", "fac_tiled", "--rank", "5",
                          "--seed", "1"]),
     ("factorize-pgm", ["factorize", "-i", "pgm", "-o", "fac_pgm", "--rank", "3",
@@ -150,12 +159,16 @@ COMMANDS = (
 )
 
 
-def write_graded_csv(path: Path) -> None:
+def graded_rows() -> list[list[int]]:
     """A 48 x 64 matrix of integers in 0..255, about 40 % zeros, from a fixed seed."""
     rand = random.Random(2024)
-    rows = (",".join(str(rand.randint(1, 255)) if rand.random() < 0.6 else "0"
-                     for _ in range(64)) for _ in range(48))
-    path.write_text("\n".join(rows) + "\n")
+    return [[rand.randint(1, 255) if rand.random() < 0.6 else 0 for _ in range(64)]
+            for _ in range(48)]
+
+
+def write_csv(path: Path, rows, cell=str) -> None:
+    """Write ``rows`` as headerless CSV, each entry written by ``cell``."""
+    path.write_text("\n".join(",".join(map(cell, row)) for row in rows) + "\n")
 
 
 def write_tiled_csv(path: Path) -> None:
@@ -166,7 +179,7 @@ def write_tiled_csv(path: Path) -> None:
                 for _ in range(9)]
     rows = distinct * 4
     rand.shuffle(rows)
-    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    write_csv(path, rows)
 
 
 def write_pgm_dir(path: Path) -> None:
@@ -303,7 +316,9 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True)
-    write_graded_csv(out / "graded.csv")
+    graded = graded_rows()
+    write_csv(out / "graded.csv", graded)
+    write_csv(out / "tiny.csv", ([v * 2.0 ** -40 for v in row] for row in graded), repr)
     write_tiled_csv(out / "tiled.csv")
     write_pgm_dir(out / "pgm")
     env = dict(os.environ, **ENV)
