@@ -1,9 +1,9 @@
 """Command-line interface: every pipeline as a subcommand with reproducible outputs.
 
 Exit codes: 0 success, 1 computational failure (JSON error object on stderr),
-2 usage error. All numeric payloads are deterministic for fixed flags; the
-PCCNMF_SEED env var supplies the default base seed and PCCNMF_TIMESTAMP pins
-report timestamps.
+2 usage error. A warning is a JSON object on stderr too. All numeric payloads
+are deterministic for fixed flags; the PCCNMF_SEED env var supplies the
+default base seed and PCCNMF_TIMESTAMP pins report timestamps.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import analysis, clustering, dataset, denoising, nmf, probability, rank_scan, stability
@@ -60,12 +61,6 @@ def _pixel_shape(arg: str | None):
         raise ParameterError(f"--pixel-shape must look like 13x13, got {arg!r}") from None
 
 
-def _load_unit(path) -> dataset.DataMatrix:
-    """Load a matrix for a noise command: 8-bit input is divided by 255."""
-    m = dataset.load_matrix(path)
-    return dataset.rescale(m) if m.scale == dataset.SCALE_RAW255 else m
-
-
 def _table_path(args) -> Path:
     """Where the CSV table of a run record goes: ``--output`` with its suffix
     replaced by ``.csv``. An ``--output`` ending in ``.csv`` is rejected, as the
@@ -93,7 +88,7 @@ def cmd_swimmer_gen(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    m = _load_unit(args.input)
+    m = dataset.rescale(dataset.load_matrix(args.input))
     seed = None
     if args.xi is not None:
         seed = _seed(args)
@@ -132,7 +127,8 @@ def cmd_rank_scan(args) -> int:
 def cmd_stability(args) -> int:
     _table_path(args)
     mode = args.mode.replace("-", "_")
-    m = _load_unit(args.input) if mode == "noise_split" else dataset.load_matrix(args.input)
+    m = dataset.load_matrix(args.input)
+    m = dataset.rescale(m) if mode == "noise_split" else m
     started = timestamp()
     matching, fits = stability.stability_experiment(
         m, rank=args.rank, mode=mode, xi=args.xi, seed_a=args.seed_a, seed_b=args.seed_b,
@@ -151,6 +147,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    started = timestamp()
     m = dataset.load_matrix(args.input)
     f = nmf.load_factorization(args.factorization)
     pcc = probability.derive_pcc(m, f)
@@ -160,12 +157,9 @@ def cmd_analyze(args) -> int:
                **dataclasses.asdict(analysis.anticorrelation_report(pcc)),
                "entropy_violations": analysis.image_entropies(pcc).violations,
                **dataclasses.asdict(analysis.sparsity_comparison(pcc))}
-    run = RunReport(command="analyze",
-                    parameters={"factorization": str(args.factorization)},
-                    seeds=[f.seed],
-                    input_digests={"matrix": matrix_digest(m)},
-                    outputs=payload)
-    run.write_json(args.output)
+    RunReport(command="analyze", parameters={"factorization": str(args.factorization)},
+              seeds=[f.seed], input_digests={"matrix": matrix_digest(m)}, outputs=payload,
+              timestamps={"started": started, "finished": timestamp()}).write_json(args.output)
     return 0
 
 
@@ -176,7 +170,7 @@ def cmd_cluster(args) -> int:
         if m.pixel_shape not in (None, shape):
             raise ParameterError(f"--pixel-shape {args.pixel_shape} differs from the images' "
                                  f"shape {m.pixel_shape}")
-        m = dataset.DataMatrix(m.values, shape, m.scale)
+        m = dataset.DataMatrix(m.values, shape)
     f = nmf.load_factorization(args.factorization)
     pcc = probability.derive_pcc(m, f)
     report = clustering.natural_clusters(pcc, k=args.k, require_positive=args.require_positive)
@@ -190,7 +184,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_denoise(args) -> int:
     _table_path(args)
-    clean = _load_unit(args.input)
+    clean = dataset.rescale(dataset.load_matrix(args.input))
     seed = _seed(args)
     noisy = dataset.apply_flip_noise(clean, args.xi, seed)
     seeds = _seed_list(args.seeds, _default_seed())
@@ -329,15 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Error as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # A warning is one JSON line on stderr too, not a file name and a source line.
+        warnings.showwarning = lambda message, category, *_: print(
+            json.dumps({"warning": category.__name__, "message": str(message)}), file=sys.stderr)
+        try:
+            return args.func(args)
+        except (Error, OSError) as exc:
+            name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+            print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

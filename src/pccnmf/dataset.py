@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +26,15 @@ SCALE_UNIT = "unit"
 class DataMatrix:
     """Nonnegative matrix of pixel intensities, one column per image.
 
-    ``scale`` records whether entries live in [0, 255] (``raw255``) or [0, 1]
-    (``unit``); ``pixel_shape`` is the (height, width) of one image when known.
-    Values are copied and frozen on construction, so instances are safe to
-    share across threads.
+    Entries must not exceed 255. ``scale`` follows from them: ``unit`` when
+    every entry is at most 1, else ``raw255`` (8-bit). ``pixel_shape`` is the
+    (height, width) of one image when known. Values are copied and frozen on
+    construction, so instances are safe to share across threads.
     """
 
     values: np.ndarray
     pixel_shape: tuple[int, int] | None = None
-    scale: str = SCALE_UNIT
+    scale: str = field(init=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -46,11 +45,10 @@ class DataMatrix:
         if np.any(values < 0):
             pix, img = np.argwhere(values < 0)[0]
             raise ParameterError(f"negative entry at pixel {pix}, image {img}")
-        if self.scale not in (SCALE_RAW255, SCALE_UNIT):
-            raise ParameterError(f"unknown scale {self.scale!r}")
-        limit = 1.0 if self.scale == SCALE_UNIT else 255.0
-        if np.any(values > limit):
-            raise ParameterError(f"entries exceed {limit:g} for scale={self.scale}")
+        peak = values.max()
+        if peak > 255.0:
+            raise ParameterError("entries exceed 255 for scale=raw255")
+        object.__setattr__(self, "scale", SCALE_UNIT if peak <= 1.0 else SCALE_RAW255)
         if self.pixel_shape is not None:
             shape = tuple(self.pixel_shape) if np.iterable(self.pixel_shape) else ()
             if len(shape) != 2:
@@ -77,9 +75,9 @@ class DataMatrix:
     def n_images(self) -> int:
         return self.values.shape[1]
 
-    def replace_values(self, values, scale: str | None = None) -> "DataMatrix":
-        """New DataMatrix with the same pixel_shape and (by default) scale."""
-        return DataMatrix(values, self.pixel_shape, self.scale if scale is None else scale)
+    def replace_values(self, values) -> "DataMatrix":
+        """New DataMatrix with the same pixel_shape."""
+        return DataMatrix(values, self.pixel_shape)
 
 
 _SIDE = 13   # Swimmer images are 13x13
@@ -139,7 +137,7 @@ def generate_swimmer() -> DataMatrix:
     """
     basis, weights = swimmer_parts()
     values = basis @ weights
-    return DataMatrix(values, pixel_shape=(_SIDE, _SIDE), scale=SCALE_UNIT)
+    return DataMatrix(values, pixel_shape=(_SIDE, _SIDE))
 
 
 def load_matrix(path) -> DataMatrix:
@@ -147,16 +145,15 @@ def load_matrix(path) -> DataMatrix:
 
     CSV: headerless UTF-8, one row per pixel, comma-separated. PGM directory:
     every ``*.pgm`` file (P2 or P5), sorted by filename, flattened row-major
-    into one column. The scale is inferred: ``raw255`` if any entry exceeds 1,
-    else ``unit``.
+    into one column. As for any DataMatrix, the scale follows from the values:
+    ``raw255`` if any entry exceeds 1, else ``unit``.
     """
     path = Path(path)
     values, pixel_shape = _load_pgm_dir(path) if path.is_dir() else (read_rows(path), None)
     if np.any(values < 0):
         r, c = np.argwhere(values < 0)[0]
         raise FormatError(f"{path}: row {r}, column {c}: negative entry {values[r, c]:g}")
-    scale = SCALE_RAW255 if np.any(values > 1.0) else SCALE_UNIT
-    return DataMatrix(values, pixel_shape=pixel_shape, scale=scale)
+    return DataMatrix(values, pixel_shape=pixel_shape)
 
 
 def _load_pgm_dir(path: Path) -> tuple[np.ndarray, tuple[int, int]]:
@@ -241,11 +238,16 @@ def save_matrix(m: DataMatrix, path, source: str = "", seed=None, xi=None) -> No
 
 
 def rescale(m: DataMatrix) -> DataMatrix:
-    """Divide 8-bit entries by 255 so they lie in [0, 1]."""
+    """Divide 8-bit entries by 255; a unit matrix is returned as it is, so rescale is idempotent."""
     if m.scale == SCALE_UNIT:
-        warnings.warn("matrix is already unit-scaled; rescale is a no-op")
         return m
-    return m.replace_values(m.values / 255.0, scale=SCALE_UNIT)
+    return m.replace_values(m.values / 255.0)
+
+
+def check_xi(xi: float) -> None:
+    """Reject a flip-noise intensity outside [0, 1], NaN included."""
+    if not 0.0 <= xi <= 1.0:
+        raise ParameterError(f"xi must lie in [0, 1], got {xi}")
 
 
 def apply_flip_noise(m: DataMatrix, xi: float, seed: int) -> DataMatrix:
@@ -256,8 +258,7 @@ def apply_flip_noise(m: DataMatrix, xi: float, seed: int) -> DataMatrix:
     """
     if m.scale != SCALE_UNIT:
         raise ParameterError("flip noise requires a unit-scaled matrix; rescale first")
-    if not 0.0 <= xi <= 1.0:
-        raise ParameterError(f"xi must lie in [0, 1], got {xi}")
+    check_xi(xi)
     rng = np.random.default_rng(seed)
     flip = rng.random(m.values.shape) < xi
     return m.replace_values(np.where(flip, 1.0 - m.values, m.values))

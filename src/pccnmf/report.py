@@ -44,10 +44,9 @@ class RunReport:
     seeds: list
     input_digests: dict
     outputs: dict
-    timestamps: dict = field(default_factory=lambda: {"started": timestamp(),
-                                                      "finished": timestamp()})
-    schema: int = SCHEMA_VERSION
-    version: str = __version__
+    timestamps: dict
+    schema: int = field(default=SCHEMA_VERSION, init=False)
+    version: str = field(default=__version__, init=False)
 
     def write_json(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, apply_flip_noise
+from .dataset import DataMatrix, apply_flip_noise, check_xi
 from .errors import ParameterError
 from .nmf import Factorization, SolverOptions, factorize
 from .report import report_fields
@@ -272,8 +272,9 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
     with intensity xi (noise stream seeded by seed_b), factorize both halves
     with the same solver seed seed_a.
     mode="seed_pair": factorize the full matrix twice, with seeds seed_a and
-    seed_b.
+    seed_b. Either mode rejects an ``xi`` outside [0, 1] before any fit.
     """
+    check_xi(xi)
     if mode == "noise_split":
         if m.n_images % 2 != 0:
             raise ParameterError(f"noise_split needs an even number of images, got {m.n_images}")

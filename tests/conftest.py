@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import sys
 
-from pccnmf import DataMatrix, Factorization, generate_swimmer
+# pccnmf comes first so that OpenBLAS starts on pccnmf's one-thread default, as
+# it does for every CLI user; numpy imported earlier would keep its own default.
+if "numpy" in sys.modules:
+    raise ImportError("numpy was imported before tests/conftest.py imported pccnmf")
+import pccnmf  # noqa: E402,F401
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from pccnmf import DataMatrix, Factorization, generate_swimmer  # noqa: E402
 
 
 @pytest.fixture(scope="session")

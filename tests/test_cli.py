@@ -1,8 +1,8 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
                     estimate_rc, find_r_range, load_matrix, matrix_digest, rescale,
                     stability_experiment)
+from pccnmf import cli
 from pccnmf.cli import main
 from pccnmf.pgm import write_pgm
 
@@ -233,6 +234,42 @@ class TestFactorizeAnalyzeCluster:
         assert err == {"error": "ParameterError", "message": "factors must be finite"}
         assert not out.exists()
 
+    def test_analyze_takes_its_start_time_before_loading(self, tmp_path, monkeypatch):
+        # Its own matrix: a draw from the session rng would shift every later test's input.
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(40).random((6, 8)))
+        fac = tmp_path / "fac"
+        run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+             "--max-iters", "200"])
+        events = []
+
+        def counting_timestamp():
+            events.append("timestamp")
+            return f"t{events.count('timestamp')}"
+
+        load_matrix = cli.dataset.load_matrix
+        monkeypatch.setattr(cli, "timestamp", counting_timestamp)
+        monkeypatch.setattr(cli.dataset, "load_matrix",
+                            lambda path: events.append("load") or load_matrix(path))
+        out = tmp_path / "analysis.json"
+        assert run(["analyze", "-i", str(matrix), "-f", str(fac), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["timestamps"] == {"started": "t1", "finished": "t2"}
+        assert events == ["timestamp", "load", "timestamp"]
+
+    def test_warnings_are_json_lines_on_stderr(self, tmp_path, capsys):
+        # Each of the 2 bases has at most 8 images to offer a cluster of 20.
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(41).random((6, 8)))
+        fac = tmp_path / "fac"
+        run(["factorize", "-i", str(matrix), "-o", str(fac), "--rank", "2",
+             "--max-iters", "200"])
+        capsys.readouterr()
+        assert run(["cluster", "-i", str(matrix), "-f", str(fac), "-o",
+                    str(tmp_path / "clusters"), "--k", "20"]) == 0
+        lines = [loads_strict(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(lines) == 2
+        for line in lines:
+            assert line["warning"] == "UserWarning"
+            assert re.fullmatch(r"basis [01]: only \d of 20 images qualify", line["message"])
+
     def test_cluster_outputs(self, tmp_path, small_csv):
         fac = tmp_path / "fac"
         run(["factorize", "-i", str(small_csv), "-o", str(fac), "--rank", "2",
@@ -353,6 +390,17 @@ class TestStabilityCommand:
         hist = (tmp_path / "stab.csv").read_text().splitlines()
         assert hist[0] == "bin_lo,bin_hi,count,pct"
         assert len(hist) == 1 + 21
+
+    @pytest.mark.parametrize("xi", ["nan", "inf", "-0.5", "7"])
+    @pytest.mark.parametrize("mode", ["seed-pair", "noise-split"])
+    def test_xi_outside_unit_interval_is_1(self, tmp_path, capsys, mode, xi):
+        matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(39).random((8, 10)))
+        out = tmp_path / "stab.json"
+        assert run(["stability", "-i", str(matrix), "-o", str(out), "--mode", mode,
+                    "--rank", "3", "--xi", xi]) == 1
+        assert loads_strict(capsys.readouterr().err) == {
+            "error": "ParameterError", "message": f"xi must lie in [0, 1], got {float(xi)}"}
+        assert list(tmp_path.iterdir()) == [matrix]
 
     @pytest.mark.parametrize("mode, xi", [("seed-pair", 0.0), ("noise-split", 0.25)])
     def test_record_names_solver_options(self, tmp_path, mode, xi):
@@ -632,7 +680,7 @@ def _command(draw, matrix, fac, shape, names=SUBCOMMANDS, modes=("seed-pair", "n
     name = draw(st.sampled_from(names))
     solver = ["--max-iters", str(draw(st.integers(1, 5))),
               "--tol", draw(st.sampled_from(["1e-6", "1e-13", "0.5"]))]
-    xi = draw(st.sampled_from(["0", "0.1", "0.5", "1"]))
+    xi = draw(st.sampled_from(["0", "0.1", "0.5", "1", "nan", "inf", "-0.5", "7"]))
     record = draw(st.sampled_from(["out.json", "out.json", "out.csv"]))
     if name == "perturb":
         return ["perturb", "-i", matrix, "-o", "p.csv", "--xi", xi, "--seed", "1",
@@ -665,14 +713,15 @@ def _command(draw, matrix, fac, shape, names=SUBCOMMANDS, modes=("seed-pair", "n
 
 
 class TestFuzzedInput:
-    """Every subcommand on small fuzzed input exits 0, 1 or 2 and never raises; an
-    exit 1 prints a one-line JSON error, and every JSON file written is strict JSON."""
+    """Every subcommand on small fuzzed input exits 0, 1 or 2 and never raises; every
+    stderr line is a strict-JSON warning, an exit 1 ends it with a JSON error line,
+    and every JSON file written is strict JSON."""
 
     @staticmethod
     def check_run(files, factorization, argv):
         """Write ``files`` ({path: bytes}) and the factorization directory ``fac``
         into a new working directory, run ``argv`` there, and check the exit code,
-        the error line and every JSON file written."""
+        the stderr lines and every JSON file written."""
         basis, weights, meta = factorization
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.chdir(tmp)
@@ -685,18 +734,19 @@ class TestFuzzedInput:
             write_csv(Path("fac/W.csv"), weights)
             Path("fac/meta.json").write_text(json.dumps(meta))
             stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with contextlib.redirect_stderr(stderr):
                 try:
                     code = run(argv)
                 except SystemExit as exc:
                     code = exc.code
                     assert code == 2
             assert code in (0, 1, 2)
-            if code == 1:
-                lines = stderr.getvalue().splitlines()
-                assert len(lines) == 1
-                assert set(loads_strict(lines[0])) == {"error", "message"}
+            if code != 2:   # exit 2 is argparse's usage text
+                lines = [loads_strict(line) for line in stderr.getvalue().splitlines()]
+                keys = [set(line) for line in lines]
+                if code == 1:
+                    assert keys.pop() == {"error", "message"}
+                assert all(k == {"warning", "message"} for k in keys)
             for path in Path().rglob("*.json"):
                 loads_strict(path.read_text())
 

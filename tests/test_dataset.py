@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pccnmf import (DataMatrix, FormatError, ParameterError, apply_flip_noise, binarize,
                     generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
@@ -13,10 +16,10 @@ class TestDataMatrix:
         with pytest.raises(ParameterError, match="negative"):
             DataMatrix([[1.0, -1.0]])
 
-    def test_rejects_unit_scale_overflow(self):
-        with pytest.raises(ParameterError, match="exceed"):
-            DataMatrix([[1.5]], scale="unit")
-        DataMatrix([[1.5]], scale="raw255")  # fine on the 8-bit scale
+    def test_rejects_entries_above_255(self):
+        with pytest.raises(ParameterError, match="entries exceed 255 for scale=raw255"):
+            DataMatrix([[0.5, 255.5]])
+        assert DataMatrix([[1.5]]).scale == "raw255"  # fine on the 8-bit scale
 
     def test_rejects_bad_pixel_shape(self):
         with pytest.raises(ParameterError, match="pixel_shape"):
@@ -118,7 +121,7 @@ class TestCsvIO:
     def test_save_load_round_trip_bit_for_bit(self, tmp_path_factory, seed, rows, cols, scale):
         values = np.random.default_rng(seed).random((rows, cols)) * scale
         path = tmp_path_factory.mktemp("csv") / "m.csv"
-        m = DataMatrix(values, scale="raw255" if scale > 1 else "unit")
+        m = DataMatrix(values)
         save_matrix(m, path)
         assert load_matrix(path).values.tobytes() == m.values.tobytes()
 
@@ -249,18 +252,70 @@ class TestPgmDir:
         assert not (tmp_path / "a.pgm").exists()
 
 
+# Entries on either scale, with the boundary at 1 and its neighbours drawn often.
+ENTRIES = st.one_of(st.floats(0.0, 255.0),
+                    st.sampled_from([0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+                                     np.nextafter(1.0, 2.0), 255.0]))
+MATRICES = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                      elements=ENTRIES)
+
+
+class TestScaleRule:
+    """The scale follows from the values: raw255 exactly when an entry exceeds 1."""
+
+    @given(MATRICES)
+    @settings(max_examples=100, deadline=None)
+    def test_scale_follows_the_peak(self, values):
+        assert DataMatrix(values).scale == ("raw255" if values.max() > 1 else "unit")
+
+    @given(MATRICES)
+    @settings(max_examples=100, deadline=None)
+    def test_rescale_is_idempotent(self, values):
+        m = DataMatrix(values)
+        once = rescale(m)
+        assert once.scale == "unit"
+        assert rescale(once) is once
+        if m.scale == "unit":
+            assert once is m
+        else:
+            assert once.values.tobytes() == (values / 255.0).tobytes()
+
+    @given(MATRICES)
+    @settings(max_examples=50, deadline=None)
+    def test_csv_round_trip_keeps_values_and_scale(self, tmp_path_factory, values):
+        m = DataMatrix(values)
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        save_matrix(m, path)
+        back = load_matrix(path)
+        assert back.values.tobytes() == m.values.tobytes()
+        assert back.scale == m.scale
+
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4),
+                      elements=st.integers(0, 255)))
+    @settings(max_examples=50, deadline=None)
+    def test_pgm_directory_round_trip(self, tmp_path_factory, images):
+        # images[k] is the k-th (height, width) image; file names sort in that order.
+        path = tmp_path_factory.mktemp("pgm")
+        for k, image in enumerate(images):
+            write_pgm(path / f"img_{k:02d}.pgm", image)
+        m = load_matrix(path)
+        assert m.pixel_shape == images.shape[1:]
+        assert np.array_equal(m.values, images.reshape(len(images), -1).T)
+        assert m.scale == ("raw255" if images.max() > 1 else "unit")
+
+
 class TestRescale:
     def test_endpoints(self):
-        m = DataMatrix([[255.0, 0.0, 51.0]], scale="raw255")
+        m = DataMatrix([[255.0, 0.0, 51.0]])
         out = rescale(m)
         np.testing.assert_allclose(out.values, [[1.0, 0.0, 0.2]])
         assert out.scale == "unit"
 
-    def test_noop_with_warning(self):
+    def test_unit_matrix_returned_unchanged(self):
         m = DataMatrix([[0.5]])
-        with pytest.warns(UserWarning, match="no-op"):
-            out = rescale(m)
-        assert out is m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rescale(m) is m
 
 
 class TestFlipNoise:
@@ -295,7 +350,7 @@ class TestFlipNoise:
             apply_flip_noise(swimmer, 1.5, seed=0)
 
     def test_requires_unit_scale(self):
-        m = DataMatrix([[2.0]], scale="raw255")
+        m = DataMatrix([[2.0]])
         with pytest.raises(ParameterError):
             apply_flip_noise(m, 0.1, seed=0)
 

@@ -387,7 +387,7 @@ class TestLossTrace:
     def graded_matrix():
         rng = np.random.default_rng(10)
         values = np.floor(255 * rng.random((60, 80)) ** 2) * (rng.random((60, 80)) < 0.6)
-        return DataMatrix(values, scale="raw255")
+        return DataMatrix(values)
 
     @pytest.mark.parametrize("rank", [5, 12])
     def test_kl_graded_matches_reference(self, rank):
@@ -396,7 +396,7 @@ class TestLossTrace:
         self.assert_matches_reference(self.graded_matrix(), rank, "kl", seed=rank)
 
     def test_kl_fortran_ordered_matches_reference(self):
-        m = DataMatrix(np.asfortranarray(self.graded_matrix().values), scale="raw255")
+        m = DataMatrix(np.asfortranarray(self.graded_matrix().values))
         assert not m.values.flags.c_contiguous
         self.assert_matches_reference(m, 5, "kl", seed=0)
 

@@ -18,13 +18,13 @@ class TestToJoint:
         assert jm.total == 4.0
 
     def test_diagonal(self):
-        jm = to_joint(DataMatrix([[2.0, 0.0], [0.0, 2.0]], scale="raw255"))
+        jm = to_joint(DataMatrix([[2.0, 0.0], [0.0, 2.0]]))
         np.testing.assert_allclose(jm.joint, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_scale_invariant(self, rng):
         values = rng.random((4, 3))
         a = to_joint(DataMatrix(values))
-        b = to_joint(DataMatrix(values * 17.0, scale="raw255"))
+        b = to_joint(DataMatrix(values * 17.0))
         np.testing.assert_allclose(a.joint, b.joint, atol=1e-15)
 
     def test_all_zero_rejected(self):

@@ -143,7 +143,7 @@ class TestRrssq:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
-            rrssq(DataMatrix(np.zeros((2, 2)), scale="unit"),
+            rrssq(DataMatrix(np.zeros((2, 2))),
                   make_factorization(np.ones((2, 1)), np.ones((1, 2))))
 
 

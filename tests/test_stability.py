@@ -357,3 +357,12 @@ class TestStabilityExperiment:
     def test_unknown_mode(self, swimmer):
         with pytest.raises(ParameterError):
             stability_experiment(swimmer, rank=4, mode="bogus")
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), -0.5, 7.0])
+    @pytest.mark.parametrize("mode", ["seed_pair", "noise_split"])
+    def test_xi_outside_unit_interval_rejected_before_any_fit(self, swimmer, monkeypatch,
+                                                              mode, xi):
+        # seed_pair adds no noise, and used to accept any xi, NaN included.
+        monkeypatch.setattr(stability, "factorize", lambda *a, **k: pytest.fail("fit ran"))
+        with pytest.raises(ParameterError, match=r"xi must lie in \[0, 1\]"):
+            stability_experiment(swimmer, rank=4, mode=mode, xi=xi)

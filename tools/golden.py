@@ -38,7 +38,9 @@ for ``scan_dual_kl_blas1.json`` and ``scan_dual_kl_blas2.json`` (and their
 ``.csv`` tables) show the same for the KL sweep's full-matrix products. The
 Frobenius ``factorize`` on ``noisy.csv`` runs twice more in the same way, into
 ``fac_frob_noisy_blas1/`` and ``fac_frob_noisy_blas2/``, which shows the same
-for the Frobenius sweep on the whole of P.
+for the Frobenius sweep on the whole of P. The script compares every such
+``_blas1`` file with its ``_blas2`` twin, and exits 1 naming each pair whose
+bytes differ.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -302,6 +304,19 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     return 1 if failed else 0
 
 
+def blas_pairs_differing(out: Path) -> list[tuple[str, str]]:
+    """The ``_blas1`` files under ``out`` whose ``_blas2`` twin differs or is
+    missing, each with its twin, as paths relative to ``out``."""
+    pairs = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        twin = name.replace("_blas1", "_blas2")
+        if twin != name and (not (out / twin).is_file()
+                             or (out / twin).read_bytes() != path.read_bytes()):
+            pairs.append((name, twin))
+    return pairs
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         dirs = [Path(arg) for arg in argv[1:]]
@@ -340,7 +355,10 @@ def main(argv: list[str]) -> int:
         for path in out.rglob("*") if path.is_file())
     (out / "SHA256SUMS").write_text("\n".join(sums) + "\n")
     print(f"golden: {len(sums)} files in {out}", file=sys.stderr)
-    return 0
+    differing = blas_pairs_differing(out)
+    for name, twin in differing:
+        print(f"golden: {name} and {twin} differ between 1 and 2 BLAS threads", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
