@@ -9,8 +9,7 @@ identity survives, for the factorization and for a truncated-SVD baseline.
     python3 demos/07_denoising.py        (a few minutes)
 """
 
-from pccnmf import (SolverOptions, apply_flip_noise, compare_with_svd, find_r_range,
-                    generate_swimmer)
+from pccnmf import SolverOptions, apply_flip_noise, find_r_range, generate_swimmer
 
 
 def main():
@@ -18,15 +17,15 @@ def main():
     noisy = apply_flip_noise(swimmer, xi=0.25, seed=0)
     opts = SolverOptions(max_iters=800, rel_tol=1e-7)
 
-    report = find_r_range(swimmer, noisy, r_lo=1, r_hi=40, exclusions=2,
+    report = find_r_range(swimmer, noisy, range(1, 41), exclusions=2,
                           seeds=(0, 1), opts=opts, xi=0.25)
     print(f"qualifying rank band: r1={report.r1}, r2={report.r2} "
           f"(exclusions={report.exclusions})")
     print("violations by rank:",
           {e.rank: e.violations for e in report.entries if e.violations})
 
-    ac = compare_with_svd(swimmer, noisy, r_values=range(5, 41, 5), seeds=(0, 1),
-                          opts=opts, xi=0.25)
+    ac = find_r_range(swimmer, noisy, range(5, 41, 5), seeds=(0, 1), opts=opts, xi=0.25,
+                      svd_baseline=True)
     curves = ac.ac_curves()
     baseline = 1.0 / swimmer.n_images
     print(f"\nnearest-neighbor accuracy (random baseline {baseline:.4f}):")

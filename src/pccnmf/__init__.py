@@ -25,8 +25,8 @@ from .clustering import (Cluster, ClusterMember, ClusterReport, export_cluster_m
                          natural_clusters)
 from .dataset import (DataMatrix, SCALE_RAW255, SCALE_UNIT, apply_flip_noise, binarize,
                       generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
-from .denoising import (DenoiseRankEntry, DenoiseReport, accuracy, compare_with_svd,
-                        denoise_margins, find_r_range)
+from .denoising import (DenoiseRankEntry, DenoiseReport, accuracy, denoise_margins,
+                        find_r_range)
 from .errors import (DegenerateInputError, Error, FormatError, ParameterError,
                      UndefinedCorrelationError)
 from .nmf import (Factorization, LOSS_FROBENIUS, LOSS_KL, SolverOptions, factorize,

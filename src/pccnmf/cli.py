@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -190,19 +191,16 @@ def cmd_denoise(args) -> int:
     seeds = _seed_list(args.seeds, _default_seed())
     opts = _solver_options(args)
     started = timestamp()
+    report = denoising.find_r_range(clean, noisy, range(args.r_lo, args.r_hi + 1),
+                                    exclusions=args.exclusions, seeds=seeds, opts=opts,
+                                    xi=args.xi, svd_baseline=args.baseline == "svd")
     if args.baseline == "svd":
-        report = denoising.compare_with_svd(clean, noisy, range(args.r_lo, args.r_hi + 1),
-                                            seeds=seeds, opts=opts, exclusions=args.exclusions,
-                                            xi=args.xi)
         curves = report.ac_curves()
         header = ["R", "ac_nmf", "ac_svd", "ac_nmf_smoothed", "ac_svd_smoothed", "violations"]
         rows = [(e.rank, curves["ac_nmf"][i], curves["ac_svd"][i],
                  curves["ac_nmf_smoothed"][i], curves["ac_svd_smoothed"][i], e.violations)
                 for i, e in enumerate(report.entries)]
     else:
-        report = denoising.find_r_range(clean, noisy, args.r_lo, args.r_hi,
-                                        exclusions=args.exclusions, seeds=seeds, opts=opts,
-                                        xi=args.xi)
         header = ["R", "violations", "min_margin"]
         rows = [(e.rank, e.violations, e.min_margin) for e in report.entries]
     _write_run(args, "denoise",
@@ -210,6 +208,15 @@ def cmd_denoise(args) -> int:
                 "exclusions": args.exclusions, "baseline": args.baseline, "noise_seed": seed},
                seeds, clean, started, report.to_dict(), rows, header)
     return 0
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number or constant as a float; NaN, Infinity and numbers that
+    overflow to infinity are not strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def cmd_report(args) -> int:
@@ -221,9 +228,10 @@ def cmd_report(args) -> int:
                                  "the bundle keys its inputs by file name")
         try:
             text = path.read_text(encoding="utf-8")
-            bundle["inputs"][path.name] = (json.loads(text) if path.suffix == ".json"
-                                           else text.splitlines())
-        except ValueError as exc:   # not UTF-8, or not JSON
+            bundle["inputs"][path.name] = (
+                json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+                if path.suffix == ".json" else text.splitlines())
+        except ValueError as exc:   # not UTF-8, or not strict JSON
             raise FormatError(f"{path}: unreadable: {exc}") from None
     Path(args.output).write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     return 0

@@ -114,22 +114,29 @@ class DenoiseReport:
         }
 
 
-def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions: int,
-           xi, with_ac: bool) -> DenoiseReport:
-    """Factorize ``noisy`` (Frobenius loss) once per (rank, seed) and build the report
-    from those runs."""
+def find_r_range(clean: DataMatrix, noisy: DataMatrix, ranks, exclusions: int = 2,
+                 seeds=(0,), opts: SolverOptions | None = None, xi: float | None = None,
+                 svd_baseline: bool = False) -> DenoiseReport:
+    """Factorize ``noisy`` (Frobenius loss) once per (rank, seed) over ``ranks``; a rank
+    qualifies when at most ``exclusions`` images have non-positive margin (best seed
+    counts).
+
+    r1/r2 are the smallest/largest qualifying ranks; the full qualification
+    mask is kept so interior gaps stay visible. With ``svd_baseline`` each entry
+    also carries the nearest-neighbor accuracy of the best-loss seed's
+    reconstruction and of the truncated SVD of ``noisy`` at that rank.
+    """
     _check_same_shape(clean, noisy)
     ranks, seeds = _check_grid(noisy, ranks, seeds)
     if exclusions < 0:
         raise ParameterError("exclusions must be >= 0")
     # One SVD of the noisy matrix serves every rank.
-    svd = np.linalg.svd(noisy.values, full_matrices=False) if with_ac else None
+    svd = np.linalg.svd(noisy.values, full_matrices=False) if svd_baseline else None
 
     def one(rank):
         best_violations = None
         best_min_margin = None
-        best_loss = np.inf
-        best_recon = None
+        best_fit = None
         for seed in seeds:
             f = factorize(noisy, rank, seed=seed, opts=opts)
             margins = denoise_margins(clean, noisy, f)
@@ -137,12 +144,10 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
             if best_violations is None or violations < best_violations:
                 best_violations = violations
                 best_min_margin = float(margins.min())
-            final = float(f.trace[-1])
-            if final < best_loss:
-                best_loss = final
-                best_recon = f.reconstruct()
-        ac_nmf = accuracy(clean, best_recon) if with_ac else None
-        ac_svd = accuracy(clean, _truncate(svd, rank)) if with_ac else None
+            if best_fit is None or f.trace[-1] < best_fit.trace[-1]:
+                best_fit = f
+        ac_nmf = accuracy(clean, best_fit.reconstruct()) if svd_baseline else None
+        ac_svd = accuracy(clean, _truncate(svd, rank)) if svd_baseline else None
         return DenoiseRankEntry(rank=rank, violations=best_violations,
                                 min_margin=best_min_margin, ac_nmf=ac_nmf, ac_svd=ac_svd)
 
@@ -152,25 +157,3 @@ def _sweep(clean: DataMatrix, noisy: DataMatrix, ranks, seeds, opts, exclusions:
                          r1=qualified[0] if qualified else None,
                          r2=qualified[-1] if qualified else None,
                          seeds=seeds, xi=xi)
-
-
-def find_r_range(clean: DataMatrix, noisy: DataMatrix, r_lo: int, r_hi: int,
-                 exclusions: int = 2, seeds=(0,), opts: SolverOptions | None = None,
-                 xi: float | None = None) -> DenoiseReport:
-    """Scan ranks [r_lo, r_hi]; a rank qualifies when at most ``exclusions``
-    images have non-positive margin (best seed counts).
-
-    r1/r2 are the smallest/largest qualifying ranks; the full qualification
-    mask is kept so interior gaps stay visible.
-    """
-    return _sweep(clean, noisy, range(r_lo, r_hi + 1), seeds, opts, exclusions, xi,
-                  with_ac=False)
-
-
-def compare_with_svd(clean: DataMatrix, distorted: DataMatrix, r_values, seeds=(0,),
-                     opts: SolverOptions | None = None, exclusions: int = 2,
-                     xi: float | None = None) -> DenoiseReport:
-    """The :func:`find_r_range` report over ``r_values``, plus nearest-neighbor
-    accuracy curves for the factorization (best-of-seeds) and the truncated-SVD
-    baseline on the same distorted input."""
-    return _sweep(clean, distorted, r_values, seeds, opts, exclusions, xi, with_ac=True)

@@ -71,6 +71,7 @@ is always the direct value, equal to :func:`frobenius_error` or
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -431,8 +432,8 @@ def load_factorization(dirpath) -> Factorization:
     """Load a factorization saved by :func:`save_factorization`.
 
     The loaded trace holds only the recorded final loss. A ``loss`` other than
-    ``frobenius`` or ``kl``, or a negative or NaN ``final_loss``, is a
-    FormatError.
+    ``frobenius`` or ``kl``, or a ``final_loss`` that is negative or not finite,
+    is a FormatError.
     """
     dirpath = Path(dirpath)
     try:
@@ -448,9 +449,9 @@ def load_factorization(dirpath) -> Factorization:
     if meta["loss"] not in (LOSS_FROBENIUS, LOSS_KL):
         raise FormatError(f"{dirpath / 'meta.json'}: 'loss' is {meta['loss']!r}, "
                           f"not {LOSS_FROBENIUS!r} or {LOSS_KL!r}")
-    if not meta["final_loss"] >= 0:
+    if not 0 <= meta["final_loss"] <= sys.float_info.max:
         raise FormatError(f"{dirpath / 'meta.json'}: 'final_loss' is {meta['final_loss']}, "
-                          "not a number >= 0")
+                          "not a finite number >= 0")
     return Factorization(basis=basis, weights=weights, rank=meta["rank"],
                          loss=meta["loss"], seed=meta["seed"],
                          trace=np.array([float(meta["final_loss"])]),

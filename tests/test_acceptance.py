@@ -16,8 +16,8 @@ import pytest
 
 from pccnmf import (DataMatrix, SolverOptions,
                     anticorrelation_report, apply_flip_noise, bic_from_error,
-                    compare_with_svd, cosine_distance_matrix, denoise_margins, derive_pcc,
-                    estimate_rc, factorize, find_r_range, frobenius_error, gauge_transform,
+                    cosine_distance_matrix, denoise_margins, derive_pcc, estimate_rc,
+                    factorize, find_r_range, frobenius_error, gauge_transform,
                     generate_swimmer, image_entropies, kl_divergence, marginal_residuals,
                     match_bases, mean_internal_distance, pearson, predictability_fraction,
                     swimmer_parts)
@@ -67,14 +67,14 @@ def noisy025(swimmer):
 
 @pytest.fixture(scope="module")
 def denoise_sweep(swimmer, noisy025):
-    return find_r_range(swimmer, noisy025, r_lo=1, r_hi=60, exclusions=2, seeds=(0, 1, 2),
+    return find_r_range(swimmer, noisy025, range(1, 61), exclusions=2, seeds=(0, 1, 2),
                         xi=0.25)
 
 
 @pytest.fixture(scope="module")
 def ac_report(swimmer, noisy025):
-    return compare_with_svd(swimmer, noisy025, r_values=range(10, 41, 5), seeds=(0, 1, 2),
-                            xi=0.25)
+    return find_r_range(swimmer, noisy025, range(10, 41, 5), seeds=(0, 1, 2), xi=0.25,
+                        svd_baseline=True)
 
 
 class TestCriterion01SwimmerConstruction:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, compare_with_svd, denoising,
-                    estimate_rc, find_r_range, load_matrix, matrix_digest, rescale,
-                    stability_experiment)
+from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, denoising, estimate_rc,
+                    find_r_range, load_matrix, matrix_digest, rescale, stability_experiment)
 from pccnmf import cli
 from pccnmf.cli import main
 from pccnmf.pgm import write_pgm
@@ -196,8 +195,10 @@ class TestFactorizeAnalyzeCluster:
         assert err["error"] in ("ParameterError", "FormatError")
 
     @pytest.mark.parametrize("key, value", [("loss", "other"), ("final_loss", -1.0),
-                                            ("final_loss", float("nan"))],
-                             ids=["loss-other", "final-loss-negative", "final-loss-nan"])
+                                            ("final_loss", float("nan")),
+                                            ("final_loss", float("inf"))],
+                             ids=["loss-other", "final-loss-negative", "final-loss-nan",
+                                  "final-loss-inf"])
     def test_analyze_rejects_bad_meta_value(self, tmp_path, capsys, key, value):
         # Each of these used to exit 0, and "loss": "other" reached the report.
         matrix = tmp_path / "m.csv"
@@ -465,8 +466,9 @@ class TestDenoiseCommand:
         clean = DataMatrix(values)
         noisy = apply_flip_noise(clean, 0.2, 3)
         opts = SolverOptions(max_iters=100)
-        plain = find_r_range(clean, noisy, 1, 3, seeds=[0, 1], opts=opts)
-        svd = compare_with_svd(clean, noisy, range(1, 4), seeds=[0, 1], opts=opts)
+        plain = find_r_range(clean, noisy, range(1, 4), seeds=[0, 1], opts=opts)
+        svd = find_r_range(clean, noisy, range(1, 4), seeds=[0, 1], opts=opts,
+                           svd_baseline=True)
         assert doc["violations"] == [e.violations for e in plain.entries]
         assert doc["min_margins"] == [e.min_margin for e in plain.entries]
         for name, curve in svd.ac_curves().items():
@@ -481,8 +483,8 @@ class TestDenoiseCommand:
                     "--seed", "3", "--r-lo", "1", "--r-hi", "3", "--seeds", "2",
                     "--max-iters", "100"]) == 0
         clean = DataMatrix(values)
-        expected = find_r_range(clean, apply_flip_noise(clean, 0.2, 3), 1, 3, seeds=[0, 1],
-                                opts=SolverOptions(max_iters=100), xi=0.2)
+        expected = find_r_range(clean, apply_flip_noise(clean, 0.2, 3), range(1, 4),
+                                seeds=[0, 1], opts=SolverOptions(max_iters=100), xi=0.2)
         assert json.loads(out.read_text())["outputs"] == json.loads(
             json.dumps(expected.to_dict()))
         lines = (tmp_path / "den.csv").read_text().splitlines()
@@ -548,8 +550,12 @@ class TestReportBundle:
 
     @pytest.mark.parametrize("name, data", [("a.json", b"{not json\n"),
                                             ("a.json", b'{"x": "\xff"}\n'),
-                                            ("b.csv", b"R,seed\n\xff,0\n")],
-                             ids=["not-json", "json-not-utf8", "csv-not-utf8"])
+                                            ("b.csv", b"R,seed\n\xff,0\n"),
+                                            ("a.json", b'{"x": NaN}\n'),
+                                            ("a.json", b'{"x": Infinity}\n'),
+                                            ("a.json", b'{"x": [1, -1e999]}\n')],
+                             ids=["not-json", "json-not-utf8", "csv-not-utf8", "json-nan",
+                                  "json-infinity", "json-overflow"])
     def test_unreadable_input_is_1(self, tmp_path, capsys, name, data):
         bad = tmp_path / name
         bad.write_bytes(data)

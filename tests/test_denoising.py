@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pccnmf import (DataMatrix, ParameterError, SolverOptions, accuracy,
-                    apply_flip_noise, compare_with_svd, cosine_distance_matrix, denoising,
-                    denoise_margins, find_r_range, truncated_svd)
+from pccnmf import (DataMatrix, Factorization, ParameterError, SolverOptions, accuracy,
+                    apply_flip_noise, cosine_distance_matrix, denoising, denoise_margins,
+                    find_r_range, truncated_svd)
 from conftest import make_factorization
 
 
@@ -137,7 +137,7 @@ class TestFindRRange:
         noisy_values = clean.values.copy()
         noisy_values[0, 1] = 1.0 - noisy_values[0, 1]
         noisy = DataMatrix(noisy_values)
-        report = find_r_range(clean, noisy, 1, 3, exclusions=0, seeds=(0, 1, 2),
+        report = find_r_range(clean, noisy, range(1, 4), exclusions=0, seeds=(0, 1, 2),
                               opts=SolverOptions(max_iters=4000, rel_tol=1e-13))
         assert report.ranks == (1, 2, 3)
         for entry in report.entries:
@@ -147,7 +147,7 @@ class TestFindRRange:
 
     def test_zero_noise_degenerate_regime(self, rng):
         m, = (DataMatrix(rng.random((6, 8)) * 0.9),)
-        report = find_r_range(m, m, 1, 2, exclusions=0, seeds=(0,),
+        report = find_r_range(m, m, (1, 2), exclusions=0, seeds=(0,),
                               opts=SolverOptions(max_iters=300, rel_tol=1e-10))
         # noisy == clean: margins are -D(P, recon) <= 0, so nothing qualifies
         assert report.r1 is None and report.r2 is None
@@ -156,13 +156,13 @@ class TestFindRRange:
     def test_parameter_validation(self, rng):
         m = DataMatrix(rng.random((4, 4)))
         with pytest.raises(ParameterError):
-            find_r_range(m, m, 0, 2)
+            find_r_range(m, m, range(0, 3))
         with pytest.raises(ParameterError):
-            find_r_range(m, m, 3, 2)
+            find_r_range(m, m, range(3, 3))
         with pytest.raises(ParameterError):
-            find_r_range(m, m, 1, 2, exclusions=-1)
+            find_r_range(m, m, (1, 2), exclusions=-1)
         with pytest.raises(ParameterError):
-            compare_with_svd(m, m, (1, 2), exclusions=-1)
+            find_r_range(m, m, (1, 2), exclusions=-1, svd_baseline=True)
 
     def test_rank_above_min_dimension_rejected_before_any_work(self, monkeypatch):
         # Own data: drawing from the session rng would shift every later test's inputs.
@@ -171,9 +171,9 @@ class TestFindRRange:
         monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
         with pytest.raises(ParameterError, match=r"\[1, 4\]"):
-            find_r_range(m, m, 1, 6, seeds=(0, 1))
+            find_r_range(m, m, range(1, 7), seeds=(0, 1))
         with pytest.raises(ParameterError, match=r"\[1, 4\]"):
-            compare_with_svd(m, m, (1, 2, 3, 9))
+            find_r_range(m, m, (1, 2, 3, 9), svd_baseline=True)
         assert calls == []
 
     def test_shape_mismatch_rejected_before_any_work(self, monkeypatch):
@@ -184,10 +184,28 @@ class TestFindRRange:
         monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
         with pytest.raises(ParameterError, match=r"clean \(4, 5\), noisy \(4, 6\)"):
-            find_r_range(clean, noisy, 1, 3, seeds=(0, 1))
+            find_r_range(clean, noisy, range(1, 4), seeds=(0, 1))
         with pytest.raises(ParameterError, match="shape mismatch"):
-            compare_with_svd(clean, noisy, (1, 2))
+            find_r_range(clean, noisy, (1, 2), svd_baseline=True)
         assert calls == []
+
+    @pytest.mark.parametrize("svd_baseline, per_rank", [(False, 3), (True, 4)])
+    def test_reconstructs_each_fit_once(self, monkeypatch, svd_baseline, per_rank):
+        # Each fit is reconstructed for its margins; the baseline adds the best-loss seed's.
+        rng = np.random.default_rng(5)
+        clean = DataMatrix(rng.random((7, 9)))
+        noisy = apply_flip_noise(clean, 0.3, seed=1)
+        calls = []
+        reconstruct = Factorization.reconstruct
+
+        def counting(self):
+            calls.append(self.rank)
+            return reconstruct(self)
+
+        monkeypatch.setattr(Factorization, "reconstruct", counting)
+        find_r_range(clean, noisy, (1, 2, 3), seeds=(0, 1, 2),
+                     opts=SolverOptions(max_iters=50, rel_tol=1e-10), svd_baseline=svd_baseline)
+        assert sorted(calls) == [1] * per_rank + [2] * per_rank + [3] * per_rank
 
 
 class TestCompareWithSvd:
@@ -196,8 +214,9 @@ class TestCompareWithSvd:
         v = rng.random((3, 10)) + 0.1
         values = u @ v
         clean = DataMatrix(values / values.max())
-        report = compare_with_svd(clean, clean, r_values=(3, 4), seeds=(0, 1),
-                                  opts=SolverOptions(max_iters=8000, rel_tol=1e-14))
+        report = find_r_range(clean, clean, (3, 4), seeds=(0, 1),
+                              opts=SolverOptions(max_iters=8000, rel_tol=1e-14),
+                              svd_baseline=True)
         curves = report.ac_curves()
         assert curves["ac_svd"][0] == 1.0
         assert curves["ac_nmf"][-1] == 1.0
@@ -209,8 +228,9 @@ class TestCompareWithSvd:
     def test_toy_curves_match_direct_accuracy(self, rng):
         clean = DataMatrix(rng.random((6, 7)))
         noisy = apply_flip_noise(clean, 0.3, seed=5)
-        report = compare_with_svd(clean, noisy, r_values=(2, 3), seeds=(0,),
-                                  opts=SolverOptions(max_iters=500, rel_tol=1e-10))
+        report = find_r_range(clean, noisy, (2, 3), seeds=(0,),
+                              opts=SolverOptions(max_iters=500, rel_tol=1e-10),
+                              svd_baseline=True)
         for entry in report.entries:
             assert entry.ac_svd == pytest.approx(
                 accuracy(clean, truncated_svd(noisy, entry.rank)))
@@ -230,9 +250,9 @@ class TestCompareWithSvd:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        report = compare_with_svd(clean, noisy, r_values=(2, 3, 4),
-                                  seeds=tuple(range(n_seeds)),
-                                  opts=SolverOptions(max_iters=50, rel_tol=1e-10))
+        report = find_r_range(clean, noisy, (2, 3, 4), seeds=tuple(range(n_seeds)),
+                              opts=SolverOptions(max_iters=50, rel_tol=1e-10),
+                              svd_baseline=True)
         assert len(calls) == 1
         assert [e.ac_svd for e in report.entries] == expected
 

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pccnmf import (DataMatrix, DegenerateInputError, Factorization, FormatError,
-                    ParameterError, SolverOptions, apply_flip_noise, factorize, frobenius_error,
-                    gauge_transform, kl_divergence, load_factorization, rrssq,
+from pccnmf import (LOSS_FROBENIUS, LOSS_KL, DataMatrix, DegenerateInputError, Factorization,
+                    FormatError, ParameterError, SolverOptions, apply_flip_noise, factorize,
+                    frobenius_error, gauge_transform, kl_divergence, load_factorization, rrssq,
                     save_factorization, truncated_svd)
 from pccnmf.nmf import _FLOOR
 from conftest import make_factorization, random_mixture
@@ -701,7 +704,37 @@ class TestTruncatedSvd:
             truncated_svd(m, 4)
 
 
+# Finite nonnegative doubles, with subnormals drawn often.
+FINITE_NONNEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                               st.floats(min_value=0.0, max_value=2.0 ** -1022))
+
+
+@st.composite
+def factorizations(draw):
+    """Any finite nonnegative factors of any shape up to 4 x 3 x 4, with any
+    loss, seed, converged flag and finite final loss."""
+    n_pixels, rank, n_images = draw(st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                              st.integers(1, 4)))
+    return Factorization(
+        basis=draw(hnp.arrays(np.float64, (n_pixels, rank), elements=FINITE_NONNEGATIVE)),
+        weights=draw(hnp.arrays(np.float64, (rank, n_images), elements=FINITE_NONNEGATIVE)),
+        rank=rank, loss=draw(st.sampled_from([LOSS_FROBENIUS, LOSS_KL])),
+        seed=draw(st.integers(0, 2 ** 64)), trace=[draw(FINITE_NONNEGATIVE)],
+        converged=draw(st.booleans()))
+
+
 class TestSerialization:
+    @given(factorizations())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_exact(self, tmp_path_factory, f):
+        path = tmp_path_factory.mktemp("fac")
+        save_factorization(f, path)
+        g = load_factorization(path)
+        assert g.basis.tobytes() == f.basis.tobytes() and g.basis.shape == f.basis.shape
+        assert g.weights.tobytes() == f.weights.tobytes() and g.weights.shape == f.weights.shape
+        assert (g.rank, g.loss, g.seed, g.converged) == (f.rank, f.loss, f.seed, f.converged)
+        assert g.trace.tobytes() == f.trace.tobytes()
+
     def test_round_trip(self, tmp_path, swimmer):
         f = factorize(swimmer, 4, loss="kl", seed=3,
                       opts=SolverOptions(max_iters=20, rel_tol=1e-12))
@@ -736,8 +769,11 @@ class TestSerialization:
             load_factorization(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("loss", "other"), ("final_loss", -1.0),
-                                            ("final_loss", float("nan"))],
-                             ids=["loss-other", "final-loss-negative", "final-loss-nan"])
+                                            ("final_loss", float("nan")),
+                                            ("final_loss", float("inf")),
+                                            ("final_loss", 10 ** 400)],
+                             ids=["loss-other", "final-loss-negative", "final-loss-nan",
+                                  "final-loss-inf", "final-loss-overflows"])
     def test_bad_meta_value_is_format_error(self, tmp_path, key, value):
         values = np.random.default_rng(7).random((3, 2))
         save_factorization(factorize(DataMatrix(values), 1, opts=SolverOptions(max_iters=5)),

@@ -38,9 +38,13 @@ for ``scan_dual_kl_blas1.json`` and ``scan_dual_kl_blas2.json`` (and their
 ``.csv`` tables) show the same for the KL sweep's full-matrix products. The
 Frobenius ``factorize`` on ``noisy.csv`` runs twice more in the same way, into
 ``fac_frob_noisy_blas1/`` and ``fac_frob_noisy_blas2/``, which shows the same
-for the Frobenius sweep on the whole of P. The script compares every such
-``_blas1`` file with its ``_blas2`` twin, and exits 1 naming each pair whose
-bytes differ.
+for the Frobenius sweep on the whole of P. The ``denoise --baseline svd``
+runs twice more in the same way with ``--exclusions 0``, into
+``denoise_svd_blas1.json`` and ``denoise_svd_blas2.json`` (and their ``.csv``
+tables), which shows the same for the denoise sweep and its SVD baseline and
+pins that the sweep honours a non-default ``--exclusions``. The script
+compares every such ``_blas1`` file with its ``_blas2`` twin, and exits 1
+naming each pair whose bytes differ.
 
 Two checkouts give equal outputs when their SHA256SUMS files are equal. The
 script uses only the standard library and takes a few minutes on two cores.
@@ -99,6 +103,14 @@ COMMANDS = (
     ("denoise-svd", ["denoise", "-i", "swim.csv", "-o", "denoise_svd.json", "--xi", "0.25",
                      "--seed", "7", "--r-lo", "10", "--r-hi", "12", "--seeds", "2",
                      "--baseline", "svd"]),
+    ("denoise-svd-blas1", ["denoise", "-i", "swim.csv", "-o", "denoise_svd_blas1.json", "--xi",
+                           "0.25", "--seed", "7", "--r-lo", "10", "--r-hi", "12", "--seeds", "2",
+                           "--baseline", "svd", "--exclusions", "0"],
+     {"OPENBLAS_NUM_THREADS": "1"}),
+    ("denoise-svd-blas2", ["denoise", "-i", "swim.csv", "-o", "denoise_svd_blas2.json", "--xi",
+                           "0.25", "--seed", "7", "--r-lo", "10", "--r-hi", "12", "--seeds", "2",
+                           "--baseline", "svd", "--exclusions", "0"],
+     {"OPENBLAS_NUM_THREADS": "2"}),
     ("stability-seed-pair-14", ["stability", "-i", "swim.csv", "-o", "stab_seed_14.json",
                                 "--mode", "seed-pair", "--rank", "14"]),
     ("stability-seed-pair-60", ["stability", "-i", "swim.csv", "-o", "stab_seed_60.json",
