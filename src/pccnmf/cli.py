@@ -148,6 +148,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.export_pcc and Path(args.export_pcc).resolve() == Path(args.output).resolve():
+        raise ParameterError(f"--export-pcc {args.export_pcc} is the --output path")
     started = timestamp()
     m = dataset.load_matrix(args.input)
     f = nmf.load_factorization(args.factorization)

@@ -235,6 +235,26 @@ class TestFactorizeAnalyzeCluster:
         assert err == {"error": "ParameterError", "message": "factors must be finite"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("export", ["a.json", "./a.json", "{tmp}/a.json"],
+                             ids=["same", "dot-relative", "absolute"])
+    def test_analyze_rejects_export_pcc_at_output(self, tmp_path, capsys, monkeypatch, export):
+        # The family used to go into a directory a.json/, and the record then
+        # failed with an OSError, leaving that directory behind.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.1,0.5,0.9\n0.3,0.2,0.8\n0.7,0.6,0.1\n")
+        run(["factorize", "-i", str(matrix), "-o", str(tmp_path / "fac"), "--rank", "2",
+             "--max-iters", "20"])
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert run(["analyze", "-i", "m.csv", "-f", "fac", "-o", "a.json",
+                    "--export-pcc", export.format(tmp=tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ParameterError",
+            "message": f"--export-pcc {export.format(tmp=tmp_path)} is the --output path"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fac", "m.csv"]
+
     def test_analyze_takes_its_start_time_before_loading(self, tmp_path, monkeypatch):
         # Its own matrix: a draw from the session rng would shift every later test's input.
         matrix = write_csv(tmp_path / "m.csv", np.random.default_rng(40).random((6, 8)))
@@ -755,6 +775,21 @@ class TestFuzzedInput:
                 assert all(k == {"warning", "message"} for k in keys)
             for path in Path().rglob("*.json"):
                 loads_strict(path.read_text())
+        return code, stderr.getvalue().splitlines()
+
+    @pytest.mark.parametrize("xi", ["nan", "inf", "-0.5", "7"])
+    @pytest.mark.parametrize("mode", ["seed-pair", "noise-split"])
+    def test_stability_xi_outside_unit_interval(self, mode, xi):
+        # Fixed cases of the fuzz above, which reaches them only by chance.
+        factorization = ([[0.5], [0.5], [0.5]], [[0.5, 0.5, 0.5, 0.5]],
+                         {"rank": 1, "loss": "frobenius", "seed": 0, "iters": 1,
+                          "final_loss": 0.0, "converged": True})
+        code, lines = self.check_run(
+            {"m.csv": b"0.1,0.5,0.9,0.2\n0.3,0.2,0.8,0.4\n0.7,0.6,0.1,0.9\n"}, factorization,
+            ["stability", "-i", "m.csv", "-o", "out.json", "--rank", "2", "--xi", xi,
+             "--mode", mode, "--max-iters", "5"])
+        assert (code, len(lines)) == (1, 1)
+        assert loads_strict(lines[0])["error"] == "ParameterError"
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -489,6 +489,20 @@ class TestLossTrace:
                       opts=SolverOptions(max_iters=max_iters, rel_tol=1e-12))
         assert np.all(f.basis[dark] == _FLOOR)
 
+    @pytest.mark.parametrize("noise_seed, rank", [(None, 17), (None, 60), (11, 16)],
+                             ids=["clean-17", "clean-60", "noisy-16"])
+    def test_gram_loss_error_far_below_guard(self, swimmer, noise_seed, rank):
+        # The Gram form subtracts terms of size ||P||^2. _GRAM_GUARD (1e-13
+        # ||P||^2) assumes its error stays under a hundredth of that; the last
+        # entry is the direct sum.
+        m = swimmer if noise_seed is None else apply_flip_noise(swimmer, 0.05, seed=noise_seed)
+        f = factorize(m, rank, seed=0)
+        basis, weights, trace, _ = reference_factorize(m, rank, seed=0)
+        assert np.array_equal(f.basis, basis) and np.array_equal(f.weights, weights)
+        assert len(f.trace) == len(trace)
+        error = np.abs(f.trace[:-1] - trace[:-1]).max()
+        assert error <= 1e-15 * np.sum(m.values ** 2)
+
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
     def test_exact_rank_one_trace_stays_nonnegative(self, rel_tol):
         # Near an exact fit the Gram form of the squared error cancels to
