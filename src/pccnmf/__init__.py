@@ -30,8 +30,8 @@ from .denoising import (DenoiseRankEntry, DenoiseReport, accuracy, denoise_margi
 from .errors import (DegenerateInputError, Error, FormatError, ParameterError,
                      UndefinedCorrelationError)
 from .nmf import (Factorization, LOSS_FROBENIUS, LOSS_KL, SolverOptions, factorize,
-                  frobenius_error, gauge_transform, kl_divergence, load_factorization,
-                  save_factorization, truncated_svd)
+                  factorize_seeds, frobenius_error, gauge_transform, kl_divergence,
+                  load_factorization, save_factorization, truncated_svd)
 from .probability import (JointModel, PccModel, derive_pcc, export_pcc, marginal_residuals,
                           pcc_summary, to_joint)
 from .rank_scan import (BIC_VARIANTS, RankScanEntry, RankScanReport, bic_from_error,

@@ -82,6 +82,50 @@ def _write_run(args, command: str, parameters: dict, seeds, m, started: str, out
     dataset.write_rows(_table_path(args), rows, header)
 
 
+# The files that factorize and cluster write into their --output directory.
+_DIRECTORY_OUTPUTS = {"factorize": nmf.FACTORIZATION_FILES,
+                      "cluster": (clustering.REPORT_FILE, clustering.MONTAGE_INDEX_FILE)}
+
+
+def _check_paths(args) -> None:
+    """Reject a command that would write over a file it reads, write one file twice, or
+    write a file where it writes a directory. Paths compare resolved, before any work."""
+    held = []   # what the command reads, and the directory --export-pcc writes into
+    if getattr(args, "input", None) is not None:
+        source = Path(args.input)
+        held.append((f"--input {args.input}", source))
+        if source.is_dir():
+            held += [(f"the {p.name} that --input {args.input} reads", p)
+                      for p in source.iterdir() if p.suffix.lower() == ".pgm"]
+    if getattr(args, "factorization", None) is not None:
+        held += [(f"the {name} that --factorization {args.factorization} reads",
+                   Path(args.factorization) / name) for name in nmf.FACTORIZATION_FILES]
+    held += [(f"the input {name}", Path(name)) for name in getattr(args, "files", ())]
+    if args.command in _DIRECTORY_OUTPUTS:
+        writes = [(f"the {name} that --output {args.output} writes", Path(args.output) / name)
+                  for name in _DIRECTORY_OUTPUTS[args.command]]
+    else:
+        writes = [(f"--output {args.output}", Path(args.output))]
+    if args.command == "cluster":
+        # Its montage strips are PGM files, which the next read of a PGM
+        # directory would take as images.
+        writes.append((f"the PGM strips that --output {args.output} writes", Path(args.output)))
+    if args.command in ("swimmer-gen", "perturb"):
+        writes.append((f"the sidecar of --output {args.output}", Path(args.output + ".json")))
+    if args.command in ("rank-scan", "stability", "denoise"):
+        writes.append((f"the CSV table of --output {args.output}", _table_path(args)))
+    if getattr(args, "export_pcc", None):
+        held.append((f"the directory --export-pcc {args.export_pcc}", Path(args.export_pcc)))
+        writes += [(f"the {name} that --export-pcc {args.export_pcc} writes",
+                    Path(args.export_pcc) / name)
+                   for name in (probability.PCC_SUMMARY_FILE, *probability.PCC_MATRIX_FILES)]
+    taken = {path.resolve(): name for name, path in held}
+    for name, path in writes:
+        other = taken.setdefault(path.resolve(), name)
+        if other != name:
+            raise ParameterError(f"{name} would write over {other}")
+
+
 def cmd_swimmer_gen(args) -> int:
     m = dataset.generate_swimmer()
     dataset.save_matrix(m, args.output, source="swimmer")
@@ -108,7 +152,6 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_rank_scan(args) -> int:
-    _table_path(args)
     m = dataset.load_matrix(args.input)
     tau = args.tau
     if tau is None:
@@ -126,7 +169,6 @@ def cmd_rank_scan(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _table_path(args)
     mode = args.mode.replace("-", "_")
     m = dataset.load_matrix(args.input)
     m = dataset.rescale(m) if mode == "noise_split" else m
@@ -148,8 +190,6 @@ def cmd_stability(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.export_pcc and Path(args.export_pcc).resolve() == Path(args.output).resolve():
-        raise ParameterError(f"--export-pcc {args.export_pcc} is the --output path")
     started = timestamp()
     m = dataset.load_matrix(args.input)
     f = nmf.load_factorization(args.factorization)
@@ -179,14 +219,14 @@ def cmd_cluster(args) -> int:
     report = clustering.natural_clusters(pcc, k=args.k, require_positive=args.require_positive)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "clusters.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
+    report_json = json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+    (out / clustering.REPORT_FILE).write_text(report_json)
     if m.pixel_shape is not None:
         clustering.export_cluster_montage(report, m, f, out)
     return 0
 
 
 def cmd_denoise(args) -> int:
-    _table_path(args)
     clean = dataset.rescale(dataset.load_matrix(args.input))
     seed = _seed(args)
     noisy = dataset.apply_flip_noise(clean, args.xi, seed)
@@ -338,6 +378,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, category, *_: print(
             json.dumps({"warning": category.__name__, "message": str(message)}), file=sys.stderr)
         try:
+            _check_paths(args)
             return args.func(args)
         except (Error, OSError) as exc:
             name = "OSError" if isinstance(exc, OSError) else type(exc).__name__

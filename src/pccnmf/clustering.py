@@ -79,6 +79,12 @@ def _to_gray(column: np.ndarray, limit: float) -> np.ndarray:
     return np.rint(255.0 * np.clip(column / limit, 0.0, 1.0))
 
 
+# The JSON files of a cluster output directory: the report that pccnmf cluster
+# writes, and the index of the strips that export_cluster_montage writes.
+REPORT_FILE = "clusters.json"
+MONTAGE_INDEX_FILE = "index.json"
+
+
 def export_cluster_montage(report: ClusterReport, m: DataMatrix, f: Factorization,
                            path) -> list[Path]:
     """Write one PGM strip per cluster (basis image, then members) plus an index.json.
@@ -105,5 +111,5 @@ def export_cluster_montage(report: ClusterReport, m: DataMatrix, f: Factorizatio
         write_pgm(strip_path, strip)
         written.append(strip_path)
         index.append({"file": strip_path.name, **asdict(cluster)})
-    (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    (out / MONTAGE_INDEX_FILE).write_text(json.dumps(index, indent=2) + "\n")
     return written

@@ -213,14 +213,19 @@ def write_rows(path, rows, header=None) -> None:
     """Write rows as comma-separated text, after an optional header line.
 
     Python ints are written with ``%r``, every other value with ``%.17g``, so
-    floats round-trip exactly.
+    floats round-trip exactly. The entries of an ndarray are numpy scalars, not
+    Python ints, so all of them take ``%.17g``. Each row is one ``%`` operation.
     """
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        lines = [line % tuple(row) for row in rows.tolist()]
+    else:
+        lines = [",".join(["%r" if isinstance(v, int) else "%.17g" for v in row]) % tuple(row)
+                 + "\n" for row in rows]
     with Path(path).open("w") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%r" % v if isinstance(v, int) else "%.17g" % v for v in row))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def save_matrix(m: DataMatrix, path, source: str = "", seed=None, xi=None) -> None:

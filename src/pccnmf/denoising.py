@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import DataMatrix
 from .errors import ParameterError
 from .nmf import (Factorization, SolverOptions, _check_grid, _reconstruction, _truncate,
-                  factorize)
+                  factorize_seeds)
 from .report import report_fields
 from .stability import _paired_cosines, cosine_distance_matrix
 
@@ -137,8 +137,7 @@ def find_r_range(clean: DataMatrix, noisy: DataMatrix, ranks, exclusions: int = 
         best_violations = None
         best_min_margin = None
         best_fit = None
-        for seed in seeds:
-            f = factorize(noisy, rank, seed=seed, opts=opts)
+        for f in factorize_seeds(noisy, rank, seeds, opts=opts):
             margins = denoise_margins(clean, noisy, f)
             violations = int((margins <= 0).sum())
             if best_violations is None or violations < best_violations:

@@ -151,21 +151,21 @@ def pcc_summary(pcc: PccModel) -> dict:
     }
 
 
+# The files export_pcc writes: the summary, and one CSV per matrix of the family,
+# named after the PccModel field it holds.
+PCC_SUMMARY_FILE = "summary.json"
+PCC_MATRIX_FILES = ("cond_pixel_given_basis.csv", "joint_basis_image.csv",
+                    "cond_image_given_basis.csv", "cond_pixel_given_image.csv",
+                    "approx_cond.csv", "approx_joint.csv")
+
+
 def export_pcc(pcc: PccModel, dirpath) -> None:
     """Write summary.json plus every probability matrix of the family as CSV."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    (dirpath / "summary.json").write_text(json.dumps(pcc_summary(pcc), indent=2) + "\n")
-    matrices = {
-        "cond_pixel_given_basis.csv": pcc.cond_pixel_given_basis,
-        "joint_basis_image.csv": pcc.joint_basis_image,
-        "cond_image_given_basis.csv": pcc.cond_image_given_basis,
-        "cond_pixel_given_image.csv": pcc.cond_pixel_given_image,
-        "approx_cond.csv": pcc.approx_cond,
-        "approx_joint.csv": pcc.approx_joint,
-    }
-    for name, arr in matrices.items():
-        write_rows(dirpath / name, arr)
+    (dirpath / PCC_SUMMARY_FILE).write_text(json.dumps(pcc_summary(pcc), indent=2) + "\n")
+    for name in PCC_MATRIX_FILES:
+        write_rows(dirpath / name, getattr(pcc, name.removesuffix(".csv")))
 
 
 def marginal_residuals(m: DataMatrix, f: Factorization) -> tuple[float, float]:

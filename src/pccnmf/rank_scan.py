@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .errors import DegenerateInputError, ParameterError
-from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _check_grid, factorize,
+from .nmf import (Factorization, LOSS_FROBENIUS, SolverOptions, _check_grid, factorize_seeds,
                   frobenius_error)
 from .probability import PccModel, derive_pcc
 from .report import report_fields
@@ -183,8 +183,7 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
     if not 0.0 <= tau < 1.0:
         raise ParameterError("tau must lie in [0, 1)")
 
-    def one(rank, seed):
-        f = factorize(m, rank, loss, seed, opts)
+    def entry(f):
         pcc = derive_pcc(m, f)
         if dual:
             fraction = dual_predictability_fraction(m, pcc)
@@ -193,16 +192,18 @@ def _scan(m: DataMatrix, tau: float, r_min: int, r_max: int, seeds, loss: str,
         # The Frobenius trace ends on the direct squared error.
         error = float(f.trace[-1]) if loss == LOSS_FROBENIUS else frobenius_error(m, f)
         return RankScanEntry(
-            rank=rank, seed=seed, valid_fraction=fraction,
-            mean_internal_distance=mean_internal_distance(f) if rank >= 2 else float("nan"),
+            rank=f.rank, seed=f.seed, valid_fraction=fraction,
+            mean_internal_distance=mean_internal_distance(f) if f.rank >= 2 else float("nan"),
             frobenius_error=error, rrssq=_relative_residual(m, error),
-            bic1=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic1"),
-            bic2=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic2"),
-            bic3=bic_from_error(error, m.n_pixels, m.n_images, rank, "bic3"),
+            bic1=bic_from_error(error, m.n_pixels, m.n_images, f.rank, "bic1"),
+            bic2=bic_from_error(error, m.n_pixels, m.n_images, f.rank, "bic2"),
+            bic3=bic_from_error(error, m.n_pixels, m.n_images, f.rank, "bic3"),
             iters=f.iters, converged=f.converged,
         )
 
-    entries = tuple(one(rank, seed) for rank in ranks for seed in seeds)
+    # The seeds of one rank are solved together; the entries keep rank-major, seed order.
+    entries = tuple(entry(f) for rank in ranks
+                    for f in factorize_seeds(m, rank, seeds, loss, opts))
 
     median_invalid = tuple(
         float(np.median([1.0 - e.valid_fraction for e in entries if e.rank == rank]))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import DataMatrix, apply_flip_noise, check_xi
 from .errors import ParameterError
-from .nmf import Factorization, SolverOptions, factorize
+from .nmf import Factorization, SolverOptions, factorize, factorize_seeds
 from .report import report_fields
 
 
@@ -284,8 +284,7 @@ def stability_experiment(m: DataMatrix, rank: int, mode: str, xi: float = 0.0,
         f1 = factorize(first, rank, seed=seed_a, opts=opts)
         f2 = factorize(second, rank, seed=seed_a, opts=opts)
     elif mode == "seed_pair":
-        f1 = factorize(m, rank, seed=seed_a, opts=opts)
-        f2 = factorize(m, rank, seed=seed_b, opts=opts)
+        f1, f2 = factorize_seeds(m, rank, (seed_a, seed_b), opts=opts)
     else:
         raise ParameterError(f"unknown mode {mode!r} (want 'noise_split' or 'seed_pair')")
 

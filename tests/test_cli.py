@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pccnmf import (DataMatrix, SolverOptions, apply_flip_noise, denoising, estimate_rc,
-                    find_r_range, load_matrix, matrix_digest, rescale, stability_experiment)
+                    find_r_range, generate_swimmer, load_matrix, matrix_digest, rescale,
+                    save_matrix, stability_experiment)
 from pccnmf import cli
 from pccnmf.cli import main
 from pccnmf.pgm import write_pgm
@@ -252,7 +256,8 @@ class TestFactorizeAnalyzeCluster:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": "ParameterError",
-            "message": f"--export-pcc {export.format(tmp=tmp_path)} is the --output path"}
+            "message": "--output a.json would write over the directory "
+                       f"--export-pcc {export.format(tmp=tmp_path)}"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fac", "m.csv"]
 
     def test_analyze_takes_its_start_time_before_loading(self, tmp_path, monkeypatch):
@@ -469,18 +474,19 @@ class TestDenoiseCommand:
         matrix = tmp_path / "m.csv"
         matrix.write_text("\n".join(",".join("%.17g" % x for x in row) for row in values) + "\n")
         calls = []
-        original = denoising.factorize
+        original = denoising.factorize_seeds
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(m, rank, seeds, *args, **kwargs):
+            calls.append((rank, tuple(seeds)))
+            return original(m, rank, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(denoising, "factorize", counting)
+        monkeypatch.setattr(denoising, "factorize_seeds", counting)
         out = tmp_path / "den.json"
         assert run(["denoise", "-i", str(matrix), "-o", str(out), "--xi", "0.2",
                     "--seed", "3", "--r-lo", "1", "--r-hi", "3", "--seeds", "2",
                     "--baseline", "svd", "--max-iters", "100"]) == 0
-        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+        # Each rank solves its two seeds as one stack, once.
+        assert calls == [(1, (0, 1)), (2, (0, 1)), (3, (0, 1))]
 
         doc = json.loads(out.read_text())["outputs"]
         clean = DataMatrix(values)
@@ -510,6 +516,130 @@ class TestDenoiseCommand:
         lines = (tmp_path / "den.csv").read_text().splitlines()
         assert lines[0] == "R,violations,min_margin"
         assert len(lines) == 1 + 3
+
+
+class TestNoWriteOverInput:
+    """No command writes over a file it reads, writes one file twice, or writes a
+    file where it writes a directory; the check runs before any work."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        # Its own matrix: a draw from the session rng would shift every later test's input.
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "m.csv", np.random.default_rng(43).random((4, 5)))
+        assert run(["factorize", "-i", "m.csv", "-o", "fac", "--rank", "2",
+                    "--max-iters", "5"]) == 0
+        return tmp_path
+
+    @staticmethod
+    def snapshot(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "-i", "m.csv", "-f", "fac", "-o", "fac/meta.json"],
+         "--output fac/meta.json would write over the meta.json that --factorization fac reads"),
+        (["analyze", "-i", "m.csv", "-f", "fac", "-o", "pcc/summary.json", "--export-pcc", "pcc"],
+         "the summary.json that --export-pcc pcc writes would write over "
+         "--output pcc/summary.json"),
+        (["analyze", "-i", "m.csv", "-f", "fac", "-o", "m.csv"],
+         "--output m.csv would write over --input m.csv"),
+        (["analyze", "-i", "m.csv", "-f", "fac", "-o", "fac/B.csv", "--export-pcc", "p"],
+         "--output fac/B.csv would write over the B.csv that --factorization fac reads"),
+        (["analyze", "-i", "pcc/approx_cond.csv", "-f", "fac", "-o", "a.json",
+          "--export-pcc", "pcc"],
+         "the approx_cond.csv that --export-pcc pcc writes would write over "
+         "--input pcc/approx_cond.csv"),
+        (["rank-scan", "-i", "m.csv", "-o", "m.json", "--r-min", "1", "--r-max", "2"],
+         "the CSV table of --output m.json would write over --input m.csv"),
+        (["stability", "-i", "m.csv", "-o", "./m", "--mode", "seed-pair", "--rank", "2"],
+         "the CSV table of --output ./m would write over --input m.csv"),
+        (["denoise", "-i", "m.csv", "-o", "m.json", "--xi", "0.1", "--r-lo", "1", "--r-hi", "2"],
+         "the CSV table of --output m.json would write over --input m.csv"),
+        (["perturb", "-i", "m.csv", "-o", "m.csv", "--xi", "0.1"],
+         "--output m.csv would write over --input m.csv"),
+        (["perturb", "-i", "m.csv.json", "-o", "m.csv", "--xi", "0.1"],
+         "the sidecar of --output m.csv would write over --input m.csv.json"),
+        (["factorize", "-i", "fac/W.csv", "-o", "fac", "--rank", "1"],
+         "the W.csv that --output fac writes would write over --input fac/W.csv"),
+        (["cluster", "-i", "m.csv", "-f", "fac", "-o", "."],
+         None),
+        (["report", "-o", "fac/meta.json", "m.csv", "fac/meta.json"],
+         "--output fac/meta.json would write over the input fac/meta.json"),
+    ], ids=["analyze-meta", "analyze-export-summary", "analyze-input", "analyze-basis",
+            "analyze-export-input", "rank-scan-table", "stability-table", "denoise-table",
+            "perturb-input", "perturb-sidecar", "factorize-input", "cluster-allowed",
+            "report-input"])
+    def test_clash_is_1_and_writes_nothing(self, workdir, capsys, argv, message):
+        (workdir / "m.csv.json").write_text("{}\n")
+        if argv[2].startswith("pcc/"):
+            (workdir / "pcc").mkdir()
+            write_csv(workdir / argv[2], np.random.default_rng(44).random((4, 5)))
+        before = self.snapshot(workdir)
+        code = run(argv + ["--max-iters", "5"] if argv[0] in ("rank-scan", "stability",
+                                                                "denoise") else argv)
+        err = capsys.readouterr().err
+        if message is None:
+            # Writing into a directory that holds what the command reads is no clash.
+            assert code == 0
+            return
+        assert code == 1
+        assert json.loads(err) == {"error": "ParameterError", "message": message}
+        assert self.snapshot(workdir) == before
+
+    def test_cluster_into_its_pgm_input_directory(self, tmp_path, capsys):
+        # The montage strips used to land among the input images, and the next
+        # read of the directory took them as images of another shape.
+        images = tmp_path / "pgm"
+        images.mkdir()
+        for k, image in enumerate(np.random.default_rng(45).integers(1, 256, size=(4, 3, 4))):
+            write_pgm(images / f"img_{k}.pgm", image)
+        assert run(["factorize", "-i", str(images), "-o", str(tmp_path / "fac"), "--rank", "2",
+                    "--max-iters", "5"]) == 0
+        before = self.snapshot(tmp_path)
+        assert run(["cluster", "-i", str(images), "-f", str(tmp_path / "fac"), "-o", str(images),
+                    "--k", "1"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError",
+            "message": f"the PGM strips that --output {images} writes would write over "
+                       f"--input {images}"}
+        assert self.snapshot(tmp_path) == before
+
+    def test_clash_found_through_a_symlink(self, workdir, capsys):
+        (workdir / "link").symlink_to(workdir / "fac")
+        assert run(["analyze", "-i", "m.csv", "-f", "fac", "-o", "link/meta.json"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    def test_outputs_beside_the_inputs_are_allowed(self, workdir):
+        assert run(["analyze", "-i", "m.csv", "-f", "fac", "-o", "fac/analysis.json",
+                    "--export-pcc", "fac"]) == 0
+        assert (workdir / "fac" / "summary.json").is_file()
+        assert run(["analyze", "-i", "m.csv", "-f", "fac", "-o", "a.json"]) == 0
+
+
+class TestBlasThreads:
+    def test_stacked_scan_and_denoise_equal_at_one_and_two_threads(self, tmp_path):
+        # The seeds of one rank run as one stack through numpy's stacked matmul;
+        # every row of the noisy Swimmer is lit, so the full products run.
+        noisy = apply_flip_noise(rescale(generate_swimmer()), 0.05, seed=3)
+        save_matrix(noisy, tmp_path / "noisy.csv")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PCCNMF_TIMESTAMP="2000-01-01",
+                       PYTHONPATH=path)
+            env.pop("PCCNMF_SEED", None)
+            for argv in (["rank-scan", "-i", "noisy.csv", "-o", f"scan{threads}.json",
+                          "--r-min", "14", "--r-max", "15", "--seeds", "3", "--max-iters", "300"],
+                         ["denoise", "-i", "noisy.csv", "-o", f"den{threads}.json", "--xi", "0.25",
+                          "--seed", "7", "--r-lo", "10", "--r-hi", "11", "--seeds", "2",
+                          "--max-iters", "300"]):
+                subprocess.run([sys.executable, "-m", "pccnmf.cli", *argv], cwd=tmp_path, env=env,
+                               check=True)
+            outputs.append([(tmp_path / f"{name}{threads}.{ext}").read_bytes()
+                            for name in ("scan", "den") for ext in ("json", "csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestGrayScaleInput:

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from pccnmf import (DataMatrix, FormatError, ParameterError, apply_flip_noise, binarize,
                     generate_swimmer, load_matrix, rescale, save_matrix, swimmer_parts)
+from pccnmf.dataset import write_rows
 from pccnmf.pgm import read_pgm, write_pgm
 
 
@@ -153,6 +154,22 @@ class TestCsvIO:
         p.write_bytes(b"0,1\n\xff\xfe,2\n")
         with pytest.raises(FormatError, match="not UTF-8"):
             load_matrix(p)
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0.1, 5e-324, -0.0], [np.nan, np.inf, 1e300]]),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.array([[True, False]]),
+        np.asfortranarray(np.random.default_rng(12).random((3, 4))),
+        [(3, 0.25, np.float64(1 / 3), True, float("nan")), (np.int64(7), 2.0, 1e-17, False, 0)],
+    ], ids=["special-floats", "int64", "bool", "fortran-order", "mixed-row-tuples"])
+    def test_write_rows_bytes(self, tmp_path, rows):
+        # Python ints take %r and everything else %.17g, value by value; an
+        # ndarray's entries are numpy scalars, never Python ints.
+        want = "h,x\n" + "".join(
+            ",".join("%r" % v if isinstance(v, int) else "%.17g" % v for v in row) + "\n"
+            for row in rows)
+        write_rows(tmp_path / "t.csv", rows, ["h", "x"])
+        assert (tmp_path / "t.csv").read_text() == want
 
     def test_swimmer_round_trip_with_sidecar(self, tmp_path, swimmer):
         import json

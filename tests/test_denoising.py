@@ -168,7 +168,7 @@ class TestFindRRange:
         # Own data: drawing from the session rng would shift every later test's inputs.
         m = DataMatrix(np.random.default_rng(3).random((4, 5)))
         calls = []
-        monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(denoising, "factorize_seeds", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
         with pytest.raises(ParameterError, match=r"\[1, 4\]"):
             find_r_range(m, m, range(1, 7), seeds=(0, 1))
@@ -181,7 +181,7 @@ class TestFindRRange:
         clean = DataMatrix(rng.random((4, 5)))
         noisy = DataMatrix(rng.random((4, 6)))
         calls = []
-        monkeypatch.setattr(denoising, "factorize", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(denoising, "factorize_seeds", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
         with pytest.raises(ParameterError, match=r"clean \(4, 5\), noisy \(4, 6\)"):
             find_r_range(clean, noisy, range(1, 4), seeds=(0, 1))

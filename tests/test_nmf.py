@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from pccnmf import (LOSS_FROBENIUS, LOSS_KL, DataMatrix, DegenerateInputError, Factorization,
                     FormatError, ParameterError, SolverOptions, apply_flip_noise, factorize,
-                    frobenius_error, gauge_transform, kl_divergence, load_factorization, rrssq,
-                    save_factorization, truncated_svd)
-from pccnmf.nmf import _FLOOR
+                    factorize_seeds, frobenius_error, gauge_transform, kl_divergence,
+                    load_factorization, rrssq, save_factorization, truncated_svd)
+from pccnmf.nmf import _FLOOR, _GRAM_GUARD, _distinct_rows
 from conftest import make_factorization, random_mixture
 
 
@@ -608,6 +608,90 @@ class TestRowGroups:
         finally:
             tracemalloc.stop()
         assert peak < 20 * values.nbytes
+
+
+class TestFactorizeSeeds:
+    """factorize_seeds solves the seeds of one (matrix, rank) as one stack, and each
+    fit equals factorize's for its seed bit for bit. Each input draws from its own
+    generator."""
+
+    @staticmethod
+    def assert_fits_equal_factorize(m, rank, seeds, loss=LOSS_FROBENIUS, opts=None):
+        fits = factorize_seeds(m, rank, seeds, loss, opts)
+        assert [f.seed for f in fits] == list(seeds)
+        for seed, f in zip(seeds, fits):
+            single = factorize(m, rank, loss, seed, opts)
+            for name in ("basis", "weights", "trace"):
+                got, want = getattr(f, name), getattr(single, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert f.converged == single.converged
+        return fits
+
+    @staticmethod
+    def exact_mixture(tiles=1, n_dark=0):
+        """A 12 x 15 exact rank-2 mixture, its rows repeated ``tiles`` times, plus
+        ``n_dark`` zero rows, shuffled."""
+        values = random_mixture(np.random.default_rng(6), 12, 15, 2)[0].values
+        rows = np.vstack([values] * tiles + [np.zeros((n_dark, 15))])
+        return DataMatrix(rows[np.random.default_rng(7).permutation(len(rows))])
+
+    def test_stops_at_max_iters_fit_floor_and_through_gram_guard(self):
+        # Below the default rel_tol the fit floor is 1e-20 ||P||^2, far under the
+        # guard at 1e-4 ||P||^2: every seed takes the direct sum from some sweep
+        # on, seeds 3 and 1 reach the floor at different sweeps, and seeds 0
+        # and 4 run to the cap. Each stopped seed leaves the stack.
+        m = self.exact_mixture()
+        norm_sq = float(np.sum(m.values ** 2))
+        opts = SolverOptions(max_iters=1000, rel_tol=1e-9)
+        fits = self.assert_fits_equal_factorize(m, 2, (3, 0, 1, 4), opts=opts)
+        assert [(f.iters, f.converged) for f in fits] == [
+            (646, True), (1000, False), (756, True), (1000, False)]
+        for f in fits:
+            assert np.any(f.trace[1:] * opts.rel_tol <= _GRAM_GUARD * norm_sq)
+            assert (f.trace[-1] <= 1e-20 * norm_sq) == f.converged
+
+    def test_fit_floor_and_cap_at_default_tolerance(self):
+        # At the default rel_tol the floor is 1e-5 ||P||^2: seeds 3 and 6 reach it
+        # after 169 and 198 sweeps, seed 0 stops at the cap of 200. Seed 3 twice.
+        m = random_mixture(np.random.default_rng(5), 20, 25, 3)[0]
+        fits = self.assert_fits_equal_factorize(m, 3, (3, 0, 6, 3),
+                                                opts=SolverOptions(max_iters=200))
+        assert [(f.iters, f.converged) for f in fits] == [
+            (169, True), (200, False), (198, True), (169, True)]
+
+    @pytest.mark.parametrize("seeds", [(5, 1, 0), (0, 5, 1), (1, 1, 5)])
+    def test_dark_rows_with_row_groups(self, seeds):
+        # 72 lit rows hold 12 distinct ones, so the grouped products run, and the
+        # basis lives on the lit rows. Seeds 5 and 0 reach the fit floor after 591
+        # and 930 sweeps, seed 1 runs to the cap.
+        m = self.exact_mixture(tiles=6, n_dark=5)
+        lit = m.values[m.values.any(axis=1)]
+        assert len(lit) == 72 and _distinct_rows(lit)[1] is not None
+        fits = self.assert_fits_equal_factorize(
+            m, 2, seeds, opts=SolverOptions(max_iters=1000, rel_tol=1e-9))
+        assert [f.iters for f in fits] == [{5: 591, 0: 930, 1: 1000}[seed] for seed in seeds]
+        for f in fits:
+            assert np.all(f.basis[~m.values.any(axis=1)] == _FLOOR)
+
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), (2, 0, 1), (1, 1, 0)])
+    def test_swimmer_seed_orders(self, swimmer, seeds):
+        self.assert_fits_equal_factorize(swimmer, 6, seeds, opts=SolverOptions(max_iters=150))
+
+    @pytest.mark.parametrize("loss", [LOSS_FROBENIUS, LOSS_KL])
+    def test_all_lit_matrix(self, loss):
+        m = DataMatrix(np.random.default_rng(8).random((9, 11)))
+        assert m.values.all()
+        self.assert_fits_equal_factorize(m, 3, (4, 1, 4), loss,
+                                         SolverOptions(max_iters=300, rel_tol=1e-9))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_one_and_two(self, swimmer, rank):
+        self.assert_fits_equal_factorize(swimmer, rank, (0, 1, 2))
+
+    def test_empty_seeds_rejected(self):
+        m = DataMatrix(np.random.default_rng(9).random((3, 4)))
+        with pytest.raises(ParameterError, match="seeds"):
+            factorize_seeds(m, 2, ())
 
 
 def _degenerate(name):

@@ -7,6 +7,7 @@ from pccnmf import (DataMatrix, DegenerateInputError, ParameterError,
                     SolverOptions, bic_from_error, derive_pcc, dual_predictability_fraction,
                     estimate_rc, estimate_rc_dual, factorize, frobenius_error,
                     gauge_transform, mean_internal_distance, predictability_fraction, rrssq)
+from pccnmf import nmf
 from conftest import make_factorization, random_mixture
 
 
@@ -229,6 +230,33 @@ class TestEstimateRc:
         out = report.to_dict()
         assert (out["iters"], out["converged"], out["n_unconverged"]) == (iters, converged, 4)
         assert all(len(row) == 9 for row in report.curve_rows())
+
+    @pytest.mark.parametrize("loss, calls", [
+        ("frobenius", [(1, 3), (2, 3), (3, 3)]),
+        ("kl", [(1, 1), (1, 1), (1, 1), (2, 1), (2, 1), (2, 1), (3, 1), (3, 1), (3, 1)]),
+    ])
+    def test_frobenius_stacks_the_seeds_of_each_rank_and_kl_runs_each_seed(self, monkeypatch,
+                                                                           loss, calls):
+        # (rank, number of seeds) of each solver call.
+        m, _, _ = random_mixture(np.random.default_rng(42), 6, 7, 2)
+        seen = []
+        frobenius_fits, kl_fit = nmf._frobenius_fits, nmf._kl_fit
+
+        def stacked(data, starts, opts):
+            seen.append((starts[0][0].shape[1], len(starts)))
+            return frobenius_fits(data, starts, opts)
+
+        def single(data, basis, weights, opts):
+            seen.append((basis.shape[1], 1))
+            return kl_fit(data, basis, weights, opts)
+
+        monkeypatch.setattr(nmf, "_frobenius_fits", stacked)
+        monkeypatch.setattr(nmf, "_kl_fit", single)
+        report = estimate_rc(m, tau=0.0, r_min=1, r_max=3, seeds=[2, 0, 1], loss=loss,
+                             opts=SolverOptions(max_iters=30))
+        assert seen == calls
+        assert [(e.rank, e.seed) for e in report.entries] == [(r, s) for r in (1, 2, 3)
+                                                              for s in (2, 0, 1)]
 
     def test_parameter_validation(self, rng):
         m, _, _ = random_mixture(rng, 4, 5, 2)

@@ -326,6 +326,23 @@ class TestStabilityExperiment:
         assert (f1.seed, f2.seed) == (0, 1)
         assert f1.weights.shape == f2.weights.shape == (6, swimmer.n_images)
 
+    def test_seed_pair_solves_both_seeds_as_one_stack(self, swimmer, monkeypatch):
+        calls = []
+        original = stability.factorize_seeds
+
+        def counting(m, rank, seeds, *args, **kwargs):
+            calls.append((rank, tuple(seeds)))
+            return original(m, rank, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "factorize_seeds", counting)
+        monkeypatch.setattr(stability, "factorize", lambda *a, **k: pytest.fail("one-seed fit"))
+        opts = SolverOptions(max_iters=40)
+        _, fits = stability_experiment(swimmer, rank=5, mode="seed_pair", seed_a=4, seed_b=2,
+                                       opts=opts)
+        assert calls == [(5, (4, 2))]
+        for f, seed in zip(fits, (4, 2)):
+            assert np.array_equal(f.basis, factorize(swimmer, 5, seed=seed, opts=opts).basis)
+
     def test_noise_split_protocol(self, swimmer):
         opts = SolverOptions(max_iters=150, rel_tol=1e-10)
         matching, (f1, f2) = stability_experiment(
@@ -364,5 +381,7 @@ class TestStabilityExperiment:
                                                               mode, xi):
         # seed_pair adds no noise, and used to accept any xi, NaN included.
         monkeypatch.setattr(stability, "factorize", lambda *a, **k: pytest.fail("fit ran"))
+        monkeypatch.setattr(stability, "factorize_seeds",
+                            lambda *a, **k: pytest.fail("fit ran"))
         with pytest.raises(ParameterError, match=r"xi must lie in \[0, 1\]"):
             stability_experiment(swimmer, rank=4, mode=mode, xi=xi)

@@ -35,7 +35,11 @@ pinned at 1 and at 2; equal digests for ``analysis_blas1.json`` and
 the analysis does not depend on the BLAS thread count. The KL ``rank-scan
 --dual`` on ``noisy.csv`` runs twice more in the same way, and equal digests
 for ``scan_dual_kl_blas1.json`` and ``scan_dual_kl_blas2.json`` (and their
-``.csv`` tables) show the same for the KL sweep's full-matrix products. The
+``.csv`` tables) show the same for the KL sweep's full-matrix products. A
+Frobenius ``rank-scan --seeds 3`` on ``noisy.csv`` runs in the same way, into
+``scan_frob_noisy_blas1.json`` and ``scan_frob_noisy_blas2.json`` (and their
+``.csv`` tables), which shows the same for the sweep that solves the seeds of
+one rank as one stack. The
 Frobenius ``factorize`` on ``noisy.csv`` runs twice more in the same way, into
 ``fac_frob_noisy_blas1/`` and ``fac_frob_noisy_blas2/``, which shows the same
 for the Frobenius sweep on the whole of P. The ``denoise --baseline svd``
@@ -135,6 +139,14 @@ COMMANDS = (
     ("rank-scan-dual-kl-blas2", ["rank-scan", "-i", "noisy.csv", "-o", "scan_dual_kl_blas2.json",
                                  "--r-min", "14", "--r-max", "16", "--seeds", "2", "--dual",
                                  "--loss", "kl"],
+     {"OPENBLAS_NUM_THREADS": "2"}),
+    ("rank-scan-frobenius-noisy-blas1", ["rank-scan", "-i", "noisy.csv", "-o",
+                                         "scan_frob_noisy_blas1.json", "--r-min", "14",
+                                         "--r-max", "16", "--seeds", "3"],
+     {"OPENBLAS_NUM_THREADS": "1"}),
+    ("rank-scan-frobenius-noisy-blas2", ["rank-scan", "-i", "noisy.csv", "-o",
+                                         "scan_frob_noisy_blas2.json", "--r-min", "14",
+                                         "--r-max", "16", "--seeds", "3"],
      {"OPENBLAS_NUM_THREADS": "2"}),
     ("factorize-frobenius-noisy-blas1", ["factorize", "-i", "noisy.csv", "-o",
                                          "fac_frob_noisy_blas1", "--rank", "11", "--seed", "0"],
