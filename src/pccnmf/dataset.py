@@ -146,13 +146,17 @@ def load_matrix(path) -> DataMatrix:
     CSV: headerless UTF-8, one row per pixel, comma-separated. PGM directory:
     every ``*.pgm`` file (P2 or P5), sorted by filename, flattened row-major
     into one column. As for any DataMatrix, the scale follows from the values:
-    ``raw255`` if any entry exceeds 1, else ``unit``.
+    ``raw255`` if any entry exceeds 1, else ``unit``. The first entry that is
+    not a finite value in [0, 255] raises FormatError naming its row and column.
     """
     path = Path(path)
     values, pixel_shape = _load_pgm_dir(path) if path.is_dir() else (read_rows(path), None)
-    if np.any(values < 0):
-        r, c = np.argwhere(values < 0)[0]
-        raise FormatError(f"{path}: row {r}, column {c}: negative entry {values[r, c]:g}")
+    bad = ~((values >= 0) & (values <= 255))   # NaN fails both comparisons
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "negative entry" if values[r, c] < 0 else "entry"
+        raise FormatError(
+            f"{path}: row {r}, column {c}: {kind} {values[r, c]:g} is not in [0, 255]")
     return DataMatrix(values, pixel_shape=pixel_shape)
 
 

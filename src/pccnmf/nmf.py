@@ -68,8 +68,10 @@ rank) as one stack: an (S, L, R) basis and an (S, R, M) weights array go through
 the same operations in the same order, the products through numpy's stacked
 matmul, which makes one BLAS call per layer with that layer's own layout. Each
 seed keeps its own trace, Gram guard and stopping rule, and leaves the stack when
-it stops, so every fit equals the one-seed :func:`factorize` bit for bit. A stack
-of one runs on 2-d arrays, for which numpy's matmul dispatches faster. The
+it stops, so every fit equals the one-seed :func:`factorize` bit for bit. The
+one-seed fit is a stack of one on the same path, at parity with the 2-d copy of
+the sweep it replaced (median time ratios 0.94..1.08 on the Swimmer at ranks 10..14,
+inside the spread of the rounds). The
 stack saves numpy calls, not flops: it pays where a sweep is bound by the
 per-call cost, as on the 17 distinct rows of the clean Swimmer (ranks 12..17,
 3 seeds: 1.28x as fast), and the gain shrinks with rank on flip-noised data,
@@ -316,13 +318,7 @@ def _frobenius_fits(data: np.ndarray, starts: list, opts: SolverOptions) -> list
     # every entry of B^T B.
     lit = np.flatnonzero(data.any(axis=1))
     n_dark = n_pixels - len(lit)
-    # A stack of one runs on 2-d arrays, which numpy's matmul dispatches faster.
-    one = len(starts) == 1
-
-    def layer_of(array, layer):
-        return array if one else array[layer]
-
-    basis, weights = starts[0] if one else (np.stack(factors) for factors in zip(*starts))
+    basis, weights = (np.stack(factors) for factors in zip(*starts))
     if n_dark:
         # take() keeps the stack C-contiguous; basis[:, lit] would lay it out lit
         # row first, which changes the BLAS path of the products and so their bits.
@@ -340,14 +336,13 @@ def _frobenius_fits(data: np.ndarray, starts: list, opts: SolverOptions) -> list
     cap = np.inf if rel_tol >= SolverOptions.rel_tol else _EXACT_FLOOR
     fit_floor = min(_FIT_FLOOR * rel_tol, cap) * norm_sq
     gram_guard = _GRAM_GUARD * norm_sq
-    # swapaxes(-1, -2) transposes a matrix and each layer of a stack; numpy 2's
-    # .mT does the same but is missing from the numpy 1.x that pyproject.toml allows.
+    # swapaxes(-1, -2) transposes each layer of the stack.
     weights_gram = weights @ weights.swapaxes(-1, -2)
     # Products of P with W^T take this copy: OpenBLAS ran them up to twice as
     # slow on the view weights.T (module docstring).
     weights_t = np.empty(weights.swapaxes(-1, -2).shape)
 
-    for _ in range(opts.max_iters):
+    for sweep in range(1, opts.max_iters + 1):
         if group is None:
             np.copyto(weights_t, weights.swapaxes(-1, -2))
             data_weights = rows @ weights_t
@@ -373,50 +368,37 @@ def _frobenius_fits(data: np.ndarray, starts: list, opts: SolverOptions) -> list
         weights_gram = weights @ weights.swapaxes(-1, -2)
         numer *= weights
         basis_gram *= weights_gram
-        stopped = []
+        finished = []
         # Per-layer sums; np.add.reduce is what .sum() calls, without its Python wrapper.
-        if one:
-            crosses = [float(np.add.reduce(numer, None))]
-            grams = [float(np.add.reduce(basis_gram, None))]
-        else:
-            crosses = np.add.reduce(numer, (1, 2)).tolist()
-            grams = np.add.reduce(basis_gram, (1, 2)).tolist()
-        for layer in range(len(crosses)):
+        crosses = np.add.reduce(numer, (1, 2)).tolist()
+        grams = np.add.reduce(basis_gram, (1, 2)).tolist()
+        for layer, start in enumerate(layers):
             current = norm_sq - 2.0 * crosses[layer] + grams[layer]
             if current * rel_tol <= gram_guard:
-                full = _with_dark_rows(layer_of(basis, layer), lit, n_pixels)
-                current = _squared_error(data, full @ layer_of(weights, layer))
-            trace = traces[layers[layer]]
+                full = _with_dark_rows(basis[layer], lit, n_pixels)
+                current = _squared_error(data, full @ weights[layer])
+            trace = traces[start]
             previous = trace[-1]
             trace.append(current)
-            if current <= fit_floor or abs(current - previous) <= rel_tol * previous:
-                stopped.append(layer)
-        if stopped:
-            for layer in stopped:
-                fits[layers[layer]] = _frobenius_result(
-                    data, layer_of(basis, layer), layer_of(weights, layer), lit,
-                    traces[layers[layer]], True)
-            keep = [layer for layer in range(len(layers)) if layer not in stopped]
+            converged = current <= fit_floor or abs(current - previous) <= rel_tol * previous
+            if converged or sweep == opts.max_iters:
+                # The last trace entry is the direct squared error of the full basis.
+                full = _with_dark_rows(basis[layer], lit, n_pixels)
+                trace[-1] = _squared_error(data, full @ weights[layer])
+                fits[start] = full, weights[layer], trace, converged
+                finished.append(layer)
+        if finished:
+            keep = [layer for layer in range(len(layers)) if layer not in finished]
             if not keep:
-                return fits
-            # A stopped start leaves the stack; the others go on as they were.
+                break
+            # A finished start leaves the stack; the others go on as they were. The
+            # copies that take() makes keep the next sweep's in-place updates off the
+            # finished factors, which are views of this stack.
             layers = [layers[layer] for layer in keep]
             basis, weights, weights_gram = (array.take(keep, axis=0)
                                             for array in (basis, weights, weights_gram))
             weights_t = weights_t[:len(keep)]
-    for layer, start in enumerate(layers):
-        fits[start] = _frobenius_result(data, layer_of(basis, layer), layer_of(weights, layer),
-                                        lit, traces[start], False)
     return fits
-
-
-def _frobenius_result(data: np.ndarray, basis: np.ndarray, weights: np.ndarray,
-                      lit: np.ndarray, trace: list, converged: bool) -> tuple:
-    """(basis, weights, trace, converged) of a finished Frobenius fit whose basis holds
-    the lit rows; the last trace entry becomes the direct squared error."""
-    basis = _with_dark_rows(basis, lit, data.shape[0])
-    trace[-1] = _squared_error(data, basis @ weights)
-    return basis, weights, trace, converged
 
 
 def _kl_fit(data: np.ndarray, basis: np.ndarray, weights: np.ndarray,

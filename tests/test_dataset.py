@@ -141,13 +141,17 @@ class TestCsvIO:
         ("0,1\n2,x\n", "row 1, column 1: not a number: 'x'"),
         ("0,1\n2,\n", "row 1, column 1: not a number: ''"),
         ("0,1,2\n3,-4,5\n", "row 1, column 1: negative entry -4"),
+        ("0,1,2\n3,4,nan\n", r"row 1, column 2: entry nan is not in \[0, 255\]"),
+        ("0,inf,2\n3,4,-inf\n", r"row 0, column 1: entry inf is not in \[0, 255\]"),
+        ("0,1,255\n256,4,5\n", r"row 1, column 0: entry 256 is not in \[0, 255\]"),
     ], ids=["empty", "blank-only", "interior-blank-line", "non-number", "empty-cell",
-            "negative"])
+            "negative", "nan", "inf", "above-255"])
     def test_malformed_csv_rejected(self, tmp_path, text, match):
         p = tmp_path / "m.csv"
         p.write_text(text)
-        with pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError, match=match) as exc:
             load_matrix(p)
+        assert str(p) in str(exc.value)
 
     def test_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "m.csv"

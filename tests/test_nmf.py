@@ -653,11 +653,14 @@ class TestFactorizeSeeds:
     def test_fit_floor_and_cap_at_default_tolerance(self):
         # At the default rel_tol the floor is 1e-5 ||P||^2: seeds 3 and 6 reach it
         # after 169 and 198 sweeps, seed 0 stops at the cap of 200. Seed 3 twice.
+        # With a cap of 169, seed 3 reaches the floor on the last sweep and counts
+        # as converged, while the seeds stopped by the cap do not.
         m = random_mixture(np.random.default_rng(5), 20, 25, 3)[0]
-        fits = self.assert_fits_equal_factorize(m, 3, (3, 0, 6, 3),
-                                                opts=SolverOptions(max_iters=200))
-        assert [(f.iters, f.converged) for f in fits] == [
-            (169, True), (200, False), (198, True), (169, True)]
+        for max_iters, want in ((200, [(169, True), (200, False), (198, True), (169, True)]),
+                                (169, [(169, True), (169, False), (169, False), (169, True)])):
+            fits = self.assert_fits_equal_factorize(m, 3, (3, 0, 6, 3),
+                                                    opts=SolverOptions(max_iters=max_iters))
+            assert [(f.iters, f.converged) for f in fits] == want
 
     @pytest.mark.parametrize("seeds", [(5, 1, 0), (0, 5, 1), (1, 1, 5)])
     def test_dark_rows_with_row_groups(self, seeds):
@@ -687,6 +690,33 @@ class TestFactorizeSeeds:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_rank_one_and_two(self, swimmer, rank):
         self.assert_fits_equal_factorize(swimmer, rank, (0, 1, 2))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_fit_equals_factorize_over_drawn_matrices(self, data):
+        # Drawn matrices have dark rows or none, lit rows that repeat (the grouped
+        # products) or not, and may be positive everywhere; seeds may repeat, and
+        # at a loose rel_tol they stop at different sweeps, so a stack shrinks,
+        # down to one layer.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="generator"))
+        n_distinct = data.draw(st.integers(1, 6), label="distinct lit rows")
+        n_lit = data.draw(st.integers(n_distinct, 24), label="lit rows")
+        n_dark = data.draw(st.integers(0, 5), label="dark rows")
+        n_images = data.draw(st.integers(1, 12), label="images")
+        density = data.draw(st.sampled_from([0.5, 1.0]), label="density")
+        distinct = 0.05 + gen.random((n_distinct, n_images))
+        distinct *= gen.random((n_distinct, n_images)) < density
+        distinct[np.arange(n_distinct), gen.integers(0, n_images, n_distinct)] = 1.0
+        rows = distinct[gen.permutation(np.arange(n_lit) % n_distinct)]
+        values = np.vstack([rows, np.zeros((n_dark, n_images))])
+        m = DataMatrix(values[gen.permutation(n_lit + n_dark)])
+        rank = data.draw(st.integers(1, min(m.values.shape)), label="rank")
+        seeds = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4), label="seeds")
+        loss = data.draw(st.sampled_from([LOSS_FROBENIUS, LOSS_KL]), label="loss")
+        opts = SolverOptions(max_iters=data.draw(st.integers(1, 300), label="max_iters"),
+                             rel_tol=data.draw(st.sampled_from([1e-3, 1e-6, 1e-9]),
+                                               label="rel_tol"))
+        self.assert_fits_equal_factorize(m, rank, seeds, loss, opts)
 
     def test_empty_seeds_rejected(self):
         m = DataMatrix(np.random.default_rng(9).random((3, 4)))
